@@ -99,12 +99,14 @@ class CheckpointManager:
 
         We must always retain the newest checkpoint with
         ``in_no <= committed_in`` (rollback to committed_in+1 needs it),
-        and everything after it.
+        and everything after it.  The list is in IN order, so the scan
+        stops at the first checkpoint newer than *committed_in*.
         """
         keep_from = 0
         for i, ckpt in enumerate(self._checkpoints):
-            if ckpt.in_no <= committed_in:
-                keep_from = i
+            if ckpt.in_no > committed_in:
+                break
+            keep_from = i
         if keep_from > 0:
             dropped = self._checkpoints[:keep_from]
             self._checkpoints = self._checkpoints[keep_from:]

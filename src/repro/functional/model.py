@@ -36,7 +36,7 @@ from repro.functional.trace import TraceEntry
 from repro.isa.causes import CAUSE_DEVICE_IRQ, CAUSE_TIMER_IRQ, CAUSE_TLB_MISS, CAUSE_PROTECTION, CAUSE_INVALID_OPCODE
 from repro.isa.encoding import EncodingError, decode
 from repro.isa.instructions import Instr
-from repro.isa.opcodes import lookup
+from repro.isa.opcodes import OPCODES_BY_VALUE, REP_PREFIX, lookup
 from repro.isa.program import ProgramImage
 from repro.isa.registers import (
     SR_BADVADDR,
@@ -63,6 +63,9 @@ IDLE_HORIZON_MAX = 1 << 40
 
 # Identity-keyed memo bound (see _count_coverage).
 _COVERAGE_MEMO_LIMIT = 16384
+
+# Byte-keyed decode memo bound (see _decode_bytes).
+_DECODE_MEMO_LIMIT = 16384
 
 
 class RollbackError(RuntimeError):
@@ -146,6 +149,10 @@ class FunctionalModel(CPUMixin):
         self.in_count = 0  # IN of the most recently executed instruction
         self._dispatch = self._build_dispatch()
         self._decode_cache: dict = {}
+        # Host memo under the modelled decode cache: exact instruction
+        # bytes -> Instr.  A modelled miss is still counted; the host
+        # just reuses the one Instr those bytes always decode to.
+        self._decode_memo: dict = {}
         # Identifies the current TLB content; pins the fetch
         # translations baked into user-mode superblocks.  Values come
         # from a never-reused allocator (TLBWR/TLBFLUSH take a fresh
@@ -189,7 +196,7 @@ class FunctionalModel(CPUMixin):
         # value pins the object so its id cannot be recycled.  Identity
         # keys make staleness impossible: self-modifying code and
         # rollback already invalidate the per-page decode cache, so a
-        # changed code byte produces a *new* Instr object.
+        # changed code byte yields the Instr of the new bytes.
         self._coverage_memo: dict = {}
 
     def _find_intctrl(self) -> Optional[InterruptController]:
@@ -474,20 +481,48 @@ class FunctionalModel(CPUMixin):
 
     def _decode_at(self, ppc: int) -> Instr:
         if not self.config.block_chaining:
-            instr, _length = decode(self._memview, ppc)
             self.stats.decode_misses += 1
-            return instr
+            return self._decode_bytes(ppc)
         page = ppc >> PAGE_SHIFT
         page_cache = self._decode_cache.get(page)
         if page_cache is None:
             page_cache = self._decode_cache[page] = {}
         instr = page_cache.get(ppc)
         if instr is None:
-            instr, _length = decode(self._memview, ppc)
-            page_cache[ppc] = instr
+            instr = page_cache[ppc] = self._decode_bytes(ppc)
             self.stats.decode_misses += 1
         else:
             self.stats.decode_hits += 1
+        return instr
+
+    def _decode_bytes(self, ppc: int) -> Instr:
+        """Decode the instruction at *ppc*, reusing the Instr of any
+        earlier decode of the same bytes.
+
+        ``decode`` is a pure function of the instruction's bytes (REP
+        prefix included), so the memo is exact.  Invalid bytes go
+        straight to ``decode``, which raises as always; so do truncated
+        ones, whose short key can match no complete encoding.  Shared
+        objects also keep the identity-keyed crack and coverage memos
+        warm across code-page invalidations.
+        """
+        mem = self._memview
+        try:
+            op = mem[ppc]
+            if op == REP_PREFIX:
+                length = OPCODES_BY_VALUE[mem[ppc + 1]].length + 1
+            else:
+                length = OPCODES_BY_VALUE[op].length
+        except (IndexError, KeyError):
+            return decode(mem, ppc)[0]
+        key = mem[ppc : ppc + length].tobytes()
+        memo = self._decode_memo
+        instr = memo.get(key)
+        if instr is None:
+            instr = decode(mem, ppc)[0]
+            if len(memo) >= _DECODE_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = instr
         return instr
 
     def _count_coverage(self, instr: Instr, iterations: int) -> None:

@@ -59,10 +59,13 @@ class Disk(Device):
         self._pending_cmd = 0
         self._countdown = 0
         self.commands = 0
-        # Sector data changes rarely (only on CMD_WRITE completion), but
-        # checkpoints are frequent; cache the data copy by version so a
-        # snapshot is O(1) when the disk hasn't been written.
-        self._data_version = 0
+        # Identifies the current sector data.  Values come from a
+        # never-reused allocator (each CMD_WRITE completion takes a fresh
+        # one, and rollback does not rewind the allocator), so equal
+        # generations mean identical bytes: a snapshot reuses the cached
+        # copy and a restore to the live generation copies nothing.
+        self.data_generation = 0
+        self._data_gen_next = 1
         self._snap_cache = (0, bytes(self.data))
 
     def ports(self):
@@ -128,21 +131,22 @@ class Disk(Device):
             self.data[offset : offset + SECTOR_SIZE] = self._memory.read_blob(
                 self.dma_addr, SECTOR_SIZE
             )
-            self._data_version += 1
+            self.data_generation = self._data_gen_next
+            self._data_gen_next += 1
         self.status = STATUS_DONE
         self._intctrl.raise_irq(IRQ_DISK)
 
     def snapshot(self):
-        version, blob = self._snap_cache
-        if version != self._data_version:
+        generation, blob = self._snap_cache
+        if generation != self.data_generation:
             blob = bytes(self.data)
-            self._snap_cache = (self._data_version, blob)
+            self._snap_cache = (self.data_generation, blob)
         mech = (
             self.timing_model.snapshot() if self.timing_model is not None
             else None
         )
         return (
-            self._data_version,
+            self.data_generation,
             blob,
             self.sector,
             self.dma_addr,
@@ -155,10 +159,12 @@ class Disk(Device):
         )
 
     def restore(self, state) -> None:
-        (self._data_version, data, self.sector, self.dma_addr, self.status,
+        (generation, data, self.sector, self.dma_addr, self.status,
          self._pending_cmd, self._countdown, self.commands, self._time,
          mech) = state
-        self.data = bytearray(data)
-        self._snap_cache = (self._data_version, data)
+        if generation != self.data_generation:
+            self.data = bytearray(data)
+            self.data_generation = generation
+            self._snap_cache = (generation, data)
         if self.timing_model is not None and mech is not None:
             self.timing_model.restore(mech)

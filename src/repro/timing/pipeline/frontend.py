@@ -129,7 +129,7 @@ class Frontend(Module):
         # decoded Instr object pays the microcode-table probe once.
         # Identity keys stay valid across self-modifying code and
         # rollback (both invalidate the FM's per-page decode cache, so
-        # changed bytes arrive as new Instr objects); the table version
+        # changed bytes arrive as a different Instr); the table version
         # covers hand_patch() replacing templates mid-run.
         self._crack_memo: dict = {}
         self._crack_memo_prev: dict = {}

@@ -1,7 +1,8 @@
-"""FastBlock busy-path regressions: superblock invalidation edges and
-the decode crack-memo's generational eviction.
+"""FastBlock busy-path regressions: superblock invalidation edges, the
+decode crack-memo's generational eviction and the FM's byte-keyed
+decode memo.
 
-Every scenario here runs twice -- FM superblock capture/replay on and
+Every superblock scenario here runs twice -- FM superblock capture/replay on and
 off -- and asserts bit-identical ``TimingStats``: replay is an
 implementation detail the timing results must never see, even across
 the nasty edges (self-modifying stores into captured blocks, rollback
@@ -10,10 +11,15 @@ to a mid-block checkpoint, interrupts landing inside a replayed span).
 
 import dataclasses
 
+import pytest
+
+import repro.functional.model as model_mod
 import repro.timing.pipeline.frontend as frontend_mod
 from repro.baselines.lockstep import LockStepFeed
 from repro.fast.trace_buffer import TraceBufferFeed
 from repro.functional.model import FunctionalModel
+from repro.isa.encoding import EncodingError, decode, encode, make
+from repro.isa.opcodes import OPCODES_BY_VALUE, REP_PREFIX
 from repro.isa.program import ProgramImage
 from repro.system.bus import build_standard_system
 from repro.timing.core import TimingConfig, TimingModel
@@ -216,3 +222,68 @@ def test_crack_memo_generational_eviction(monkeypatch):
         assert len(fe._crack_memo_prev) <= 8
         # Eviction policy is invisible to the timing results.
         assert stats == baseline
+
+
+# -- decode memo: exact bytes -> one shared Instr ---------------------------
+
+
+def _bare_fm(memory_size=1 << 16):
+    memory, bus, *_ = build_standard_system(memory_size=memory_size)
+    return FunctionalModel(memory=memory, bus=bus)
+
+
+def test_store_rewriting_instruction_decodes_new_bytes():
+    fm = _bare_fm()
+    fm.memory.load_blob(0x1000, encode(make("ADDI", dst=1, imm=1)))
+    first = fm._decode_at(0x1000)
+    assert fm._decode_at(0x1000) is first
+    misses = fm.stats.decode_misses
+    fm._phys_write8(0x1002, 9)  # the ADDI immediate's low byte
+    patched = fm._decode_at(0x1000)
+    assert patched == make("ADDI", dst=1, imm=9)
+    assert fm.stats.decode_misses == misses + 1
+
+
+def test_same_bytes_at_two_addresses_share_one_instr():
+    fm = _bare_fm()
+    code = encode(make("ADDI", dst=1, imm=1))
+    fm.memory.load_blob(0x1000, code)
+    fm.memory.load_blob(0x2000, code)  # another page, another cache
+    rep = encode(make("MOVSB", rep=True))
+    fm.memory.load_blob(0x3000, rep)
+    fm.memory.load_blob(0x3100, rep)
+    assert fm._decode_at(0x1000) is fm._decode_at(0x2000)
+    assert fm._decode_at(0x3000) is fm._decode_at(0x3100)
+    assert fm._decode_at(0x3000).rep
+    assert fm.stats.decode_misses == 4
+
+
+def test_invalid_and_truncated_bytes_still_fault():
+    size = 1 << 16
+    fm = _bare_fm(size)
+    invalid = min(set(range(256)) - set(OPCODES_BY_VALUE))
+    fm.memory.write8(0x1000, invalid)
+    fm.memory.load_blob(size - 3, encode(make("ADDI", dst=1, imm=1))[:3])
+    fm.memory.write8(size - 8, REP_PREFIX)
+    fm.memory.write8(size - 7, invalid)
+    mem = fm.memory.view()
+    for ppc in (0x1000, size - 3, size - 8):
+        with pytest.raises(EncodingError) as expected:
+            decode(mem, ppc)
+        with pytest.raises(EncodingError) as raised:
+            fm._decode_at(ppc)
+        assert str(raised.value) == str(expected.value)
+    fm.memory.write8(size - 1, REP_PREFIX)  # prefix with no opcode
+    with pytest.raises(EncodingError, match="REP prefix with no opcode"):
+        fm._decode_at(size - 1)
+    assert fm._decode_memo == {}
+
+
+def test_decode_memo_stays_within_bound(monkeypatch):
+    monkeypatch.setattr(model_mod, "_DECODE_MEMO_LIMIT", 4)
+    fm = _bare_fm()
+    for imm in range(20):
+        ppc = 0x1000 + 8 * imm
+        fm.memory.load_blob(ppc, encode(make("ADDI", dst=1, imm=imm)))
+        assert fm._decode_at(ppc) == make("ADDI", dst=1, imm=imm)
+        assert len(fm._decode_memo) <= 4

@@ -295,6 +295,50 @@ class TestDisk:
         disk.tick(6)
         assert disk.status == STATUS_DONE
 
+    def _write(self, mem, disk, fill):
+        mem.load_blob(0x200, fill * SECTOR_SIZE)
+        disk.write_port(PORT_SECTOR, 0)
+        disk.write_port(PORT_ADDR, 0x200)
+        disk.write_port(PORT_CMD, CMD_WRITE)
+        disk.tick(5)
+        assert disk.read_port(DISK_STATUS) == STATUS_DONE
+
+    def test_rollback_across_write_restores_pre_write_bytes(self):
+        mem, pic, disk = self._disk()
+        before = bytes(disk.data)
+        snap = disk.snapshot()
+        self._write(mem, disk, b"A")
+        assert disk.data[:SECTOR_SIZE] == b"A" * SECTOR_SIZE
+        disk.restore(snap)
+        assert bytes(disk.data) == before
+
+    def test_write_after_rollback_takes_a_fresh_generation(self):
+        mem, pic, disk = self._disk()
+        snap0 = disk.snapshot()
+        self._write(mem, disk, b"A")
+        snap_a = disk.snapshot()
+        disk.restore(snap0)
+        self._write(mem, disk, b"B")
+        # A generation names one data image: the divergent write B must
+        # not reuse write A's, or restoring snap_a would skip its copy.
+        assert disk.data_generation not in (snap0[0], snap_a[0])
+        disk.restore(snap_a)
+        assert disk.data[:SECTOR_SIZE] == b"A" * SECTOR_SIZE
+        disk.restore(snap0)
+        assert disk.data[:SECTOR_SIZE] == b"X" * SECTOR_SIZE
+
+    def test_restore_to_live_generation_copies_nothing(self):
+        mem, pic, disk = self._disk()
+        disk.write_port(PORT_SECTOR, 1)
+        disk.write_port(PORT_ADDR, 0x100)
+        disk.write_port(PORT_CMD, CMD_READ)
+        snap = disk.snapshot()
+        data = disk.data
+        disk.tick(5)  # a read completes; the sector data is unchanged
+        disk.restore(snap)
+        assert disk.data is data
+        assert disk.status == STATUS_BUSY
+
 
 class TestBus:
     def test_power_port_requests_shutdown(self):
