@@ -15,8 +15,9 @@ Experiment runs invoked here emit FastFlight run artifacts under
 
 from __future__ import annotations
 
+import importlib
 import sys
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 EXPERIMENTS = {
     "fig3": ("Figure 3: the target microarchitecture", "fig3"),
@@ -32,88 +33,33 @@ EXPERIMENTS = {
 }
 
 
-def _lint_main(argv: List[str]) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    return lint_main(argv)
-
-
-def _bench_main(argv: List[str]) -> int:
-    from repro.experiments.bench import main as bench_main
-
-    return bench_main(argv)
-
-
-def _stats_main(argv: List[str]) -> int:
-    from repro.observability.cli import stats_main
-
-    return stats_main(argv)
-
-
-def _trace_main(argv: List[str]) -> int:
-    from repro.observability.cli import trace_main
-
-    return trace_main(argv)
-
-
-def _report_main(argv: List[str]) -> int:
-    from repro.observability.flight.cli import report_main
-
-    return report_main(argv)
-
-
-def _fuzz_main(argv: List[str]) -> int:
-    from repro.fuzz.cli import main as fuzz_main
-
-    return fuzz_main(argv)
-
-
-def _shardcheck_main(argv: List[str]) -> int:
-    from repro.analysis.shardcheck import main as shardcheck_main
-
-    return shardcheck_main(argv)
-
-
-def _debug_main(argv: List[str]) -> int:
-    from repro.observability.flight.debug import debug_main
-
-    return debug_main(argv)
-
-
-def _top_main(argv: List[str]) -> int:
-    from repro.observability.pulse_cli import top_main
-
-    return top_main(argv)
-
-
-def _pulse_main(argv: List[str]) -> int:
-    from repro.observability.pulse_cli import pulse_main
-
-    return pulse_main(argv)
-
-
-# Every registered subcommand: name -> (description, entry point taking
-# the remaining argv).  The usage listing below is generated from this
-# table plus EXPERIMENTS, so a new subcommand cannot be forgotten there.
-SUBCOMMANDS: Dict[str, Tuple[str, Callable[[List[str]], int]]] = {
+# Every registered subcommand: name -> (description, "module:function"
+# entry point taking the remaining argv).  Entry modules are imported
+# only when their subcommand runs.  The usage listing below is generated
+# from this table plus EXPERIMENTS, so a new subcommand cannot be
+# forgotten there.
+SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "lint": ("FastLint static verification (exit 0 clean / 1 findings)",
-             _lint_main),
+             "repro.analysis.cli:main"),
     "bench": ("hot-path engine benchmark (writes BENCH_hotpath.json)",
-              _bench_main),
-    "stats": ("FastScope statistics fabric report", _stats_main),
-    "trace": ("FM/TM seam event trace (JSONL)", _trace_main),
+              "repro.experiments.bench:main"),
+    "stats": ("FastScope statistics fabric report",
+              "repro.observability.cli:stats_main"),
+    "trace": ("FM/TM seam event trace (JSONL)",
+              "repro.observability.cli:trace_main"),
     "report": ("FastFlight artifact analytics & cross-run regression "
-               "diagnosis", _report_main),
+               "diagnosis", "repro.observability.flight.cli:report_main"),
     "fuzz": ("FastFuzz differential conformance fuzzing (FM/TM oracle "
-             "matrix)", _fuzz_main),
+             "matrix)", "repro.fuzz.cli:main"),
     "shardcheck": ("FastPart shard-safety analysis and PartitionPlan "
-                   "emission", _shardcheck_main),
+                   "emission", "repro.analysis.shardcheck:main"),
     "debug": ("FastWatch time-travel debug capsules (capture / list / "
-              "show / diff / flame)", _debug_main),
+              "show / diff / flame)",
+              "repro.observability.flight.debug:debug_main"),
     "top": ("live status of running/finished simulations (tails "
-            "pulse.jsonl sidecars)", _top_main),
+            "pulse.jsonl sidecars)", "repro.observability.pulse_cli:top_main"),
     "pulse": ("FastPulse live telemetry plane (run / export)",
-              _pulse_main),
+              "repro.observability.pulse_cli:pulse_main"),
 }
 
 
@@ -136,8 +82,6 @@ def usage() -> str:
 
 
 def run_one(key: str) -> None:
-    import importlib
-
     module = importlib.import_module("repro.experiments." + EXPERIMENTS[key][1])
     print(module.main())
 
@@ -159,7 +103,8 @@ def main(argv) -> int:
         print(usage())
         return 0
     if target in SUBCOMMANDS:
-        return SUBCOMMANDS[target][1](argv[2:])
+        module, _, function = SUBCOMMANDS[target][1].partition(":")
+        return getattr(importlib.import_module(module), function)(argv[2:])
     if target == "all":
         _enable_flight()
         for key in EXPERIMENTS:

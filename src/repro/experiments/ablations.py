@@ -12,7 +12,6 @@
    as link time.
 4. **Branch predictor quality vs simulator speed** -- the Figure 4
    coupling, swept over fixed accuracies.
-5. **Trace-buffer lookahead** -- wasted speculative work per mispredict.
 """
 
 from __future__ import annotations
@@ -187,37 +186,6 @@ def bp_quality_sweep(
                 bp_accuracy=run.result.timing.bp_accuracy,
                 mips=run.host_mips["prototype"],
                 rollback_replays=run.result.protocol.rollback_replays,
-            )
-        )
-    return rows
-
-
-@dataclass
-class LookaheadRow:
-    lookahead: int
-    wasted_instructions: int  # speculative FM work discarded
-    cycles: int
-
-
-def lookahead_sweep(workload: str = "164.gzip",
-                    lookaheads=(8, 32, 128), scale: int = 1):
-    rows = []
-    for lookahead in lookaheads:
-        wl = build_workload(workload, scale)
-        sim = build_fast_simulator(wl)
-        sim.feed.lookahead = lookahead
-        result = sim.run()
-        wasted = (
-            result.functional.executed
-            - result.functional.replayed
-            - result.timing.instructions
-            - result.functional.wrong_path
-        )
-        rows.append(
-            LookaheadRow(
-                lookahead=lookahead,
-                wasted_instructions=max(0, wasted),
-                cycles=result.timing.cycles,
             )
         )
     return rows

@@ -38,7 +38,7 @@ from repro.system.timer import (
     PORT_INTERVAL as TIMER_PORT_INTERVAL,
     Timer,
 )
-from repro.timing.core import TimingModel
+from repro.timing.core import IDLE_HINT_UNBOUNDED, TimingModel
 from repro.timing.pipeline.frontend import DRAIN_INTERRUPT
 
 
@@ -70,7 +70,7 @@ class CycleInterruptCoordinator:
     def _idle_hint(self, cycle: int) -> int:
         if self.next_fire is None:
             # Not armed: cycle count alone can never make _on_cycle act.
-            return 1 << 40
+            return IDLE_HINT_UNBOUNDED
         return self.next_fire - cycle - 1
 
     @staticmethod

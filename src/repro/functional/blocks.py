@@ -215,25 +215,6 @@ class SuperblockCache:
             for block in doomed:
                 self._drop(block)
 
-    def invalidate_page(self, page: int) -> None:
-        """A physical write (or rollback undo) touched *page*: kill
-        every block whose code bytes span it."""
-        keys = self.page_index.pop(page, None)
-        if not keys:
-            return
-        for key in keys:
-            block = self._blocks.pop(key, None)
-            if isinstance(block, Superblock):
-                block.dead = True
-                self.stats.invalidations += 1
-                for other in block.pages:
-                    if other != page:
-                        index = self.page_index.get(other)
-                        if index is not None:
-                            index.discard(key)
-                            if not index:
-                                del self.page_index[other]
-
     def _drop(self, block: Superblock) -> None:
         """Remove one stale (version/generation-mismatched) block."""
         self._blocks.pop(block.key, None)

@@ -17,7 +17,6 @@ genuine model output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.host.fpga import VIRTEX4_LX200, FpgaHost
 from repro.timing.module import Module
@@ -49,12 +48,6 @@ class ResourceReport:
     @property
     def bram_fraction(self) -> float:
         return self.brams / self.fpga.brams
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "user_logic_pct": 100.0 * self.user_logic_fraction,
-            "bram_pct": 100.0 * self.bram_fraction,
-        }
 
 
 def estimate_resources(

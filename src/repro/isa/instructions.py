@@ -19,7 +19,7 @@ format:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.isa.opcodes import OpSpec
@@ -56,24 +56,3 @@ class Instr:
         from repro.isa.disassembler import format_instr
 
         return format_instr(self)
-
-
-@dataclass
-class DecodedBlock:
-    """A run of instructions decoded from consecutive addresses.
-
-    The functional model's translation cache stores these, mirroring
-    QEMU's translated basic blocks.  A block ends at the first control
-    instruction or at ``max_len`` instructions.
-    """
-
-    start: int
-    instrs: list = field(default_factory=list)
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(i.length for i in self.instrs)
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size_bytes

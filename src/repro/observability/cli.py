@@ -24,14 +24,61 @@ DEFAULT_WORKLOAD = "linux-boot"
 DEFAULT_MAX_CYCLES = 2_000_000
 
 
-def _build_workload(name: str, boot_sleep_ticks: int):
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The run flags of every command that simulates a workload
+    (``stats``, ``trace``, ``debug capture``, ``pulse run``)."""
+    parser.add_argument(
+        "--workload",
+        default=DEFAULT_WORKLOAD,
+        help="workload name (default %(default)s)",
+    )
+    parser.add_argument(
+        "--engine",
+        default="compiled",
+        choices=("compiled", "legacy"),
+        help="tick engine (default %(default)s)",
+    )
+    parser.add_argument(
+        "--max-cycles",
+        type=int,
+        default=DEFAULT_MAX_CYCLES,
+        help="target cycle budget (default %(default)s)",
+    )
+    parser.add_argument(
+        "--boot-sleep-ticks",
+        type=int,
+        default=20,
+        help="sleep span of the default boot slice (default %(default)s)",
+    )
+
+
+def build_workload(name: str, boot_sleep_ticks: int, scale: int = 1):
+    """The fixed-seed Linux boot slice the bench uses, or the suite
+    workload *name* at *scale*."""
     if name == DEFAULT_WORKLOAD:
         from repro.experiments.bench import _linux_boot
 
         return _linux_boot(sleep_ticks=boot_sleep_ticks)
     from repro.workloads import build
 
-    return build(name)
+    return build(name, scale=scale)
+
+
+def simulator_factory(args, scale: int = 1):
+    """``(workload, factory)`` for the run flags in *args*.  Every
+    ``factory()`` call rebuilds the identical coupled system -- the
+    determinism anchor time-travel capture replays from."""
+    from repro.experiments.harness import build_fast_simulator
+    from repro.timing.core import TimingConfig
+
+    workload = build_workload(args.workload, args.boot_sleep_ticks, scale)
+
+    def build():
+        return build_fast_simulator(
+            workload, timing_config=TimingConfig(engine=args.engine)
+        )
+
+    return workload, build
 
 
 def _workload_names() -> List[str]:
@@ -41,13 +88,8 @@ def _workload_names() -> List[str]:
 
 
 def _scoped_run(args, profile: bool):
-    from repro.experiments.harness import build_fast_simulator
-    from repro.timing.core import TimingConfig
-
-    workload = _build_workload(args.workload, args.boot_sleep_ticks)
-    sim = build_fast_simulator(
-        workload, timing_config=TimingConfig(engine=args.engine)
-    )
+    _workload, factory = simulator_factory(args)
+    sim = factory()
     scope = FastScope(
         sim,
         window_cycles=args.window,
@@ -64,25 +106,9 @@ def _scoped_run(args, profile: bool):
 
 
 def _common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workload",
-        default=DEFAULT_WORKLOAD,
-        help="workload name (default %(default)s; see --list)",
-    )
+    add_run_arguments(parser)
     parser.add_argument(
         "--list", action="store_true", help="list workload names and exit"
-    )
-    parser.add_argument(
-        "--engine",
-        default="compiled",
-        choices=("compiled", "legacy"),
-        help="tick engine (default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-cycles",
-        type=int,
-        default=DEFAULT_MAX_CYCLES,
-        help="target cycle budget (default %(default)s)",
     )
     parser.add_argument(
         "--window",
@@ -102,12 +128,6 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
         default=4,
         help="trigger threshold: trace-buffer occupancy below N "
         "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--boot-sleep-ticks",
-        type=int,
-        default=20,
-        help="sleep span of the default boot slice (default %(default)s)",
     )
     parser.add_argument(
         "--artifact",

@@ -33,13 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.timing.core import IDLE_HINT_UNBOUNDED
 from repro.timing.module import Gauge, Module
-
-# Idle hint for the window listener: "skip as far as you can".  Sound
-# because a quiescent machine executes no module ticks, so no registered
-# stream can change value; boundary crossings are reconstructed
-# retroactively as elided windows.
-IDLE_HINT_UNBOUNDED = 1 << 40
 
 DEFAULT_WINDOW_CYCLES = 65536
 
@@ -142,6 +137,10 @@ class StatsFabric:
     # -- the per-cycle listener ------------------------------------------
 
     def _idle_hint(self, cycle: int) -> int:
+        # "Skip as far as you can": sound because a quiescent machine
+        # executes no module ticks, so no registered stream can change
+        # value; boundary crossings are reconstructed retroactively as
+        # elided windows.
         return IDLE_HINT_UNBOUNDED
 
     def _on_cycle(self, cycle: int) -> None:
@@ -256,14 +255,3 @@ class StatsFabric:
             "totals": dict(sorted(self.totals().items())),
             "registered_streams": self.registered_streams(),
         }
-
-
-def window_summary(windows: Sequence[StatWindow]) -> dict:
-    """Roll a window list up for quick display."""
-    return {
-        "count": len(windows),
-        "cycles": sum(w.cycles for w in windows),
-        "idle_cycles": sum(w.idle_cycles for w in windows),
-        "elided_windows": sum(w.elided_windows for w in windows),
-        "partial": sum(1 for w in windows if w.partial),
-    }

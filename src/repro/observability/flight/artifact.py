@@ -28,6 +28,13 @@ count, rolling det hash, stall count) is folded into the hashed
 identity as ``extra["pulse_footer"]`` instead, making live-telemetry
 divergence between two same-seed runs a content-hash mismatch.
 
+This module owns the store once: payload and manifest writing, the
+content hash, ``<prefix>-<hash12>[.N]`` ids, lookup, listing and
+re-hash verification, parameterised by a :class:`StoreKind`.  Debug
+capsules (:mod:`repro.observability.flight.capsule`) are the second
+kind in the same store; their manifests say ``"kind": "capsule"`` and
+run-artifact lookups skip them.
+
 Nothing here reads a clock: artifacts carry no timestamps (content
 addressing makes them unnecessary, and the determinism lint would
 rightly object).
@@ -40,7 +47,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 SCHEMA_VERSION = 1
 DEFAULT_ROOT = os.path.join("results", "runs")
@@ -69,6 +76,34 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def jsonl(records: List[dict]) -> str:
+    """One sorted-key compact record per line, newline-terminated; the
+    empty string for no records."""
+    if not records:
+        return ""
+    return "\n".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":"))
+        for record in records
+    ) + "\n"
+
+
+def footer_record(text: Optional[str], kind: str) -> Optional[Dict[str, Any]]:
+    """The last record of JSONL *text* when it is a *kind* record (a
+    stream's footer); None for no text, no records, an unparsable last
+    line (a stream cut off mid-write) or another kind."""
+    last = None
+    for line in (text or "").splitlines():
+        if line.strip():
+            last = line
+    if last is None:
+        return None
+    try:
+        record = json.loads(last)
+    except ValueError:
+        return None
+    return record if record.get("kind") == kind else None
+
+
 def _plain(obj: Any) -> Any:
     """Dataclasses (TimingStats & friends) to plain dicts, recursively."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -87,138 +122,32 @@ class ArtifactError(ValueError):
     """A malformed, missing or ambiguous artifact reference."""
 
 
-@dataclass
-class RunArtifact:
-    """One loaded ``results/runs/<id>/`` directory."""
-
-    path: str
-    manifest: Dict[str, Any]
-    _stats: Optional[Dict[str, Any]] = field(default=None, repr=False)
-
-    # -- identity --------------------------------------------------------
-
-    @property
-    def run_id(self) -> str:
-        return str(self.manifest.get("run_id", os.path.basename(self.path)))
-
-    @property
-    def content_hash(self) -> str:
-        return str(self.manifest.get("content_hash", ""))
-
-    @property
-    def experiment(self) -> str:
-        return str(self.manifest.get("experiment", ""))
-
-    @property
-    def workload(self) -> Optional[str]:
-        return self.manifest.get("workload")
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        return dict(self.manifest.get("config", {}))
-
-    @property
-    def host(self) -> Dict[str, Any]:
-        return dict(self.manifest.get("host", {}))
-
-    # -- payload readers -------------------------------------------------
-
-    def _file(self, name: str) -> Optional[str]:
-        path = os.path.join(self.path, name)
-        return path if os.path.exists(path) else None
-
-    def _read_json(self, name: str) -> Optional[Dict[str, Any]]:
-        path = self._file(name)
-        if path is None:
-            return None
-        with open(path) as fh:
-            return json.load(fh)
-
-    def stats(self) -> Dict[str, Any]:
-        if self._stats is None:
-            self._stats = self._read_json(STATS_NAME) or {}
-        return self._stats
-
-    def timing(self) -> Dict[str, Any]:
-        """The final TimingStats snapshot as a plain dict."""
-        return dict(self.stats().get("timing", {}))
-
-    def windows(self) -> Optional[Dict[str, Any]]:
-        return self._read_json(WINDOWS_NAME)
-
-    def profile(self) -> Optional[Dict[str, Any]]:
-        return self._read_json(PROFILE_NAME)
-
-    def output(self) -> Optional[str]:
-        path = self._file(OUTPUT_NAME)
-        if path is None:
-            return None
-        with open(path) as fh:
-            return fh.read()
-
-    def events(self) -> List[Dict[str, Any]]:
-        """Parsed seam-event records (the summary footer excluded)."""
-        path = self._file(TRACE_NAME)
-        if path is None:
-            return []
-        records = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("kind") != TRACE_FOOTER_KIND:
-                    records.append(record)
-        return records
-
-    def trace_summary(self) -> Optional[Dict[str, Any]]:
-        """The whole-run trace footer (recorded/dropped/per-kind totals),
-        if the artifact carries a trace."""
-        path = self._file(TRACE_NAME)
-        if path is None:
-            return None
-        last = None
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    last = line
-        if last is None:
-            return None
-        record = json.loads(last)
-        return record if record.get("kind") == TRACE_FOOTER_KIND else None
-
-    def has_trace(self) -> bool:
-        return self._file(TRACE_NAME) is not None
-
-    def has_pulse(self) -> bool:
-        return self._file(PULSE_NAME) is not None
-
-    def pulse_summary(self) -> Optional[Dict[str, Any]]:
-        """The FastPulse footer record (``det`` + ``host`` sections)
-        when the artifact adopted a live-telemetry sidecar; falls back
-        to the hashed ``extra["pulse_footer"]`` identity copy."""
-        path = self._file(PULSE_NAME)
-        if path is not None:
-            last = None
-            with open(path) as fh:
-                for line in fh:
-                    if line.strip():
-                        last = line
-            if last is not None:
-                try:
-                    record = json.loads(last)
-                except ValueError:
-                    record = None
-                if record and record.get("kind") == PULSE_FOOTER_KIND:
-                    return record
-        footer = self.manifest.get("extra", {}).get("pulse_footer")
-        if footer:
-            return {"kind": PULSE_FOOTER_KIND, "det": footer, "host": {}}
-        return None
+# -- the store -------------------------------------------------------------
 
 
-# -- hashing ---------------------------------------------------------------
+@dataclass(frozen=True)
+class StoreKind:
+    """What one kind of store entry hashes and how lookups name it.
+
+    *kind* is the manifest's ``kind`` field (None: absent, as in run
+    artifacts); the content hash covers the *identity* manifest keys
+    plus the hashes of the *hashed_files* present; *noun* and
+    *list_hint* fill the lookup error texts."""
+
+    kind: Optional[str]
+    identity: Tuple[str, ...]
+    hashed_files: Tuple[str, ...]
+    noun: str
+    list_hint: str
+
+
+RUN_KIND = StoreKind(
+    kind=None,
+    identity=("schema", "experiment", "workload", "config", "extra"),
+    hashed_files=HASHED_FILES,
+    noun="artifact",
+    list_hint="python -m repro report --list",
+)
 
 
 def _sha256_text(text: str) -> str:
@@ -232,25 +161,243 @@ def _content_hash(identity: Dict[str, Any],
     return _sha256_text(canonical_json(body))
 
 
-# -- emission --------------------------------------------------------------
+def write_entry(
+    store: StoreKind,
+    prefix: str,
+    identity: Dict[str, Any],
+    files: Dict[str, str],
+    root: str,
+    **unhashed: Any,
+) -> Tuple[str, Dict[str, Any]]:
+    """Write *files* (name -> text) and the manifest as a new entry
+    ``<prefix>-<hash12>`` under *root*; returns ``(path, manifest)``.
+    *unhashed* manifest fields (the volatile ``host`` section, capsule
+    back-links) ride along outside the content hash."""
+    file_hashes = {
+        name: _sha256_text(text)
+        for name, text in files.items()
+        if name in store.hashed_files
+    }
+    content_hash = _content_hash(identity, file_hashes)
+    base_id = "%s-%s" % (prefix, content_hash[:12])
+    os.makedirs(root, exist_ok=True)
+    entry_id = base_id
+    serial = 1
+    while os.path.exists(os.path.join(root, entry_id)):
+        # Same-content re-runs are kept side by side (the "two same-seed
+        # artifacts diff clean" workflow needs both on disk).
+        serial += 1
+        entry_id = "%s.%d" % (base_id, serial)
+    path = os.path.join(root, entry_id)
+    os.makedirs(path)
+
+    manifest: Dict[str, Any] = dict(identity, **unhashed)
+    manifest["run_id"] = entry_id
+    manifest["content_hash"] = content_hash
+    manifest["files"] = {
+        name: file_hashes.get(name, "") for name in sorted(files)
+    }
+    for name, text in files.items():
+        with open(os.path.join(path, name), "w") as fh:
+            fh.write(text)
+    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return path, manifest
+
+
+def entry_manifest(store: StoreKind, path: str) -> Optional[Dict[str, Any]]:
+    """*path*'s manifest when it is an entry of *store*'s kind."""
+    try:
+        with open(os.path.join(path, MANIFEST_NAME)) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return manifest if manifest.get("kind") == store.kind else None
+
+
+def list_entries(store: StoreKind, root: str) -> List[str]:
+    """Ids of *store*'s kind under *root*, sorted (ids are
+    content-based, so name order is stable)."""
+    if not os.path.isdir(root):
+        return []
+    return sorted(
+        name
+        for name in os.listdir(root)
+        if entry_manifest(store, os.path.join(root, name)) is not None
+    )
+
+
+def load_entry(store: StoreKind, ref: str,
+               root: str) -> Tuple[str, Dict[str, Any]]:
+    """Resolve *ref* -- an entry directory, an id, or a unique id
+    prefix -- to ``(path, manifest)``."""
+    for path in (ref, os.path.join(root, ref)):
+        manifest = entry_manifest(store, path)
+        if manifest is not None:
+            return path, manifest
+    matches = [
+        entry_id for entry_id in list_entries(store, root)
+        if entry_id.startswith(ref)
+    ]
+    if len(matches) > 1:
+        raise ArtifactError(
+            "ambiguous %s %r: matches %s" % (store.noun, ref, matches)
+        )
+    if not matches:
+        raise ArtifactError(
+            "no %s %r under %s (try '%s')"
+            % (store.noun, ref, root, store.list_hint)
+        )
+    path = os.path.join(root, matches[0])
+    return path, entry_manifest(store, path) or {}
+
+
+def verify_entry(store: StoreKind, entry: "StoreEntry") -> List[str]:
+    """Re-hash the payload files against the manifest; returns a list of
+    human-readable integrity problems (empty == intact)."""
+    problems = []
+    recorded = entry.manifest.get("files", {})
+    for name, want in sorted(recorded.items()):
+        path = os.path.join(entry.path, name)
+        if not os.path.exists(path):
+            problems.append("missing payload file %s" % name)
+            continue
+        if name not in store.hashed_files or not want:
+            continue
+        with open(path) as fh:
+            got = _sha256_text(fh.read())
+        if got != want:
+            problems.append(
+                "hash mismatch on %s: manifest %s.., file %s.."
+                % (name, want[:12], got[:12])
+            )
+    identity = {key: entry.manifest.get(key) for key in store.identity}
+    hashes = {
+        name: value
+        for name, value in recorded.items()
+        if name in store.hashed_files and value
+    }
+    if _content_hash(identity, hashes) != entry.content_hash:
+        problems.append("content hash does not match manifest identity")
+    return problems
+
+
+@dataclass
+class StoreEntry:
+    """One loaded store directory: its path and parsed manifest."""
+
+    path: str
+    manifest: Dict[str, Any]
+
+    @property
+    def run_id(self) -> str:
+        return str(self.manifest.get("run_id", os.path.basename(self.path)))
+
+    @property
+    def content_hash(self) -> str:
+        return str(self.manifest.get("content_hash", ""))
+
+    @property
+    def workload(self) -> Optional[str]:
+        return self.manifest.get("workload")
+
+    @property
+    def host(self) -> Dict[str, Any]:
+        return dict(self.manifest.get("host", {}))
+
+    def _file(self, name: str) -> Optional[str]:
+        path = os.path.join(self.path, name)
+        return path if os.path.exists(path) else None
+
+    def _read(self, name: str) -> Optional[str]:
+        path = self._file(name)
+        if path is None:
+            return None
+        with open(path) as fh:
+            return fh.read()
+
+    def _read_json(self, name: str) -> Optional[Dict[str, Any]]:
+        text = self._read(name)
+        return json.loads(text) if text else None
+
+    def _records(self, name: str) -> List[Dict[str, Any]]:
+        """The parsed records of a JSONL payload file."""
+        text = self._read(name) or ""
+        return [json.loads(line) for line in text.splitlines()
+                if line.strip()]
+
+    def profile(self) -> Optional[Dict[str, Any]]:
+        return self._read_json(PROFILE_NAME)
+
+
+# -- run artifacts ---------------------------------------------------------
+
+
+@dataclass
+class RunArtifact(StoreEntry):
+    """One loaded ``results/runs/<id>/`` directory."""
+
+    _stats: Optional[Dict[str, Any]] = field(default=None, repr=False)
+
+    @property
+    def experiment(self) -> str:
+        return str(self.manifest.get("experiment", ""))
+
+    @property
+    def config(self) -> Dict[str, Any]:
+        return dict(self.manifest.get("config", {}))
+
+    def stats(self) -> Dict[str, Any]:
+        if self._stats is None:
+            self._stats = self._read_json(STATS_NAME) or {}
+        return self._stats
+
+    def timing(self) -> Dict[str, Any]:
+        """The final TimingStats snapshot as a plain dict."""
+        return dict(self.stats().get("timing", {}))
+
+    def windows(self) -> Optional[Dict[str, Any]]:
+        return self._read_json(WINDOWS_NAME)
+
+    def output(self) -> Optional[str]:
+        return self._read(OUTPUT_NAME)
+
+    def events(self) -> List[Dict[str, Any]]:
+        """Parsed seam-event records (the summary footer excluded)."""
+        return [
+            record for record in self._records(TRACE_NAME)
+            if record.get("kind") != TRACE_FOOTER_KIND
+        ]
+
+    def trace_summary(self) -> Optional[Dict[str, Any]]:
+        """The whole-run trace footer (recorded/dropped/per-kind totals),
+        if the artifact carries a trace."""
+        return footer_record(self._read(TRACE_NAME), TRACE_FOOTER_KIND)
+
+    def has_trace(self) -> bool:
+        return self._file(TRACE_NAME) is not None
+
+    def has_pulse(self) -> bool:
+        return self._file(PULSE_NAME) is not None
+
+    def pulse_summary(self) -> Optional[Dict[str, Any]]:
+        """The FastPulse footer record (``det`` + ``host`` sections)
+        when the artifact adopted a live-telemetry sidecar; falls back
+        to the hashed ``extra["pulse_footer"]`` identity copy."""
+        record = footer_record(self._read(PULSE_NAME), PULSE_FOOTER_KIND)
+        if record is not None:
+            return record
+        footer = self.manifest.get("extra", {}).get("pulse_footer")
+        if footer:
+            return {"kind": PULSE_FOOTER_KIND, "det": footer, "host": {}}
+        return None
 
 
 def _pulse_footer_from_text(text: str) -> Optional[Dict[str, Any]]:
     """The deterministic footer section of a pulse sidecar's text, or
     None when the stream never finalized (crash mid-run)."""
-    last = None
-    for line in text.splitlines():
-        if line.strip():
-            last = line
-    if last is None:
-        return None
-    try:
-        record = json.loads(last)
-    except ValueError:
-        return None
-    if record.get("kind") != PULSE_FOOTER_KIND:
-        return None
-    det = record.get("det")
+    record = footer_record(text, PULSE_FOOTER_KIND)
+    det = record.get("det") if record is not None else None
     return det if isinstance(det, dict) else None
 
 
@@ -328,117 +475,27 @@ def emit_artifact(
     if pulse_footer is not None:
         identity["extra"] = dict(identity["extra"])
         identity["extra"]["pulse_footer"] = pulse_footer
-    file_hashes = {
-        name: _sha256_text(text)
-        for name, text in files.items()
-        if name in HASHED_FILES
-    }
-    content_hash = _content_hash(identity, file_hashes)
-
-    base_id = "%s-%s" % (_slug(experiment), content_hash[:12])
+    prefix = _slug(experiment)
     if workload:
-        base_id = "%s-%s-%s" % (
-            _slug(experiment), _slug(workload), content_hash[:12]
-        )
-    os.makedirs(root, exist_ok=True)
-    run_id = base_id
-    serial = 1
-    while os.path.exists(os.path.join(root, run_id)):
-        # Same-content re-runs are kept side by side (the "two same-seed
-        # artifacts diff clean" workflow needs both on disk).
-        serial += 1
-        run_id = "%s.%d" % (base_id, serial)
-    path = os.path.join(root, run_id)
-    os.makedirs(path)
-
-    manifest: Dict[str, Any] = dict(identity)
-    manifest["run_id"] = run_id
-    manifest["content_hash"] = content_hash
-    manifest["files"] = {
-        name: file_hashes.get(name, "") for name in sorted(files)
-    }
-    manifest["host"] = dict(host or {})
-
-    for name, text in files.items():
-        with open(os.path.join(path, name), "w") as fh:
-            fh.write(text)
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        prefix = "%s-%s" % (prefix, _slug(workload))
+    path, manifest = write_entry(
+        RUN_KIND, prefix, identity, files, root, host=dict(host or {})
+    )
     return RunArtifact(path=path, manifest=manifest)
 
 
-# -- loading ---------------------------------------------------------------
-
-
 def list_artifacts(root: str = DEFAULT_ROOT) -> List[str]:
-    """Run ids under *root*, sorted (name order; ids are content-based)."""
-    if not os.path.isdir(root):
-        return []
-    return sorted(
-        name
-        for name in os.listdir(root)
-        if os.path.exists(os.path.join(root, name, MANIFEST_NAME))
-    )
+    """Run ids under *root*, sorted (debug capsules excluded)."""
+    return list_entries(RUN_KIND, root)
 
 
 def load_artifact(ref: str, root: str = DEFAULT_ROOT) -> RunArtifact:
     """Load an artifact by directory path, run id, or unique id prefix."""
-    candidates = []
-    if os.path.isdir(ref) and os.path.exists(os.path.join(ref, MANIFEST_NAME)):
-        candidates = [ref]
-    else:
-        direct = os.path.join(root, ref)
-        if os.path.exists(os.path.join(direct, MANIFEST_NAME)):
-            candidates = [direct]
-        else:
-            matches = [
-                run_id for run_id in list_artifacts(root)
-                if run_id.startswith(ref)
-            ]
-            if len(matches) > 1:
-                raise ArtifactError(
-                    "ambiguous artifact %r: matches %s" % (ref, matches)
-                )
-            candidates = [os.path.join(root, m) for m in matches]
-    if not candidates:
-        raise ArtifactError(
-            "no artifact %r under %s (try 'python -m repro report --list')"
-            % (ref, root)
-        )
-    path = candidates[0]
-    with open(os.path.join(path, MANIFEST_NAME)) as fh:
-        manifest = json.load(fh)
+    path, manifest = load_entry(RUN_KIND, ref, root)
     return RunArtifact(path=path, manifest=manifest)
 
 
 def verify_artifact(artifact: RunArtifact) -> List[str]:
     """Re-hash the payload files against the manifest; returns a list of
     human-readable integrity problems (empty == intact)."""
-    problems = []
-    recorded = artifact.manifest.get("files", {})
-    for name, want in sorted(recorded.items()):
-        path = os.path.join(artifact.path, name)
-        if not os.path.exists(path):
-            problems.append("missing payload file %s" % name)
-            continue
-        if name not in HASHED_FILES or not want:
-            continue
-        with open(path) as fh:
-            got = _sha256_text(fh.read())
-        if got != want:
-            problems.append(
-                "hash mismatch on %s: manifest %s.., file %s.."
-                % (name, want[:12], got[:12])
-            )
-    identity = {
-        key: artifact.manifest.get(key)
-        for key in ("schema", "experiment", "workload", "config", "extra")
-    }
-    hashes = {
-        name: value
-        for name, value in recorded.items()
-        if name in HASHED_FILES and value
-    }
-    if _content_hash(identity, hashes) != artifact.content_hash:
-        problems.append("content hash does not match manifest identity")
-    return problems
+    return verify_entry(RUN_KIND, artifact)

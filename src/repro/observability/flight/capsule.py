@@ -3,9 +3,10 @@
 A capsule is a new FastFlight artifact kind: the maximum-detail record
 of one re-executed window ``[C-delta, C+delta]`` around a cycle of
 interest -- an invariant violation, an armed watchpoint, or the first-
-diverging event of a regression bisection.  It lives alongside run
-artifacts under ``results/runs/<id>/`` so the existing listing and
-upload machinery see it::
+diverging event of a regression bisection.  It is the second entry
+kind of the run-artifact store under ``results/runs/<id>/``, which
+writes, hashes, names, resolves, lists and verifies both
+(:mod:`repro.observability.flight.artifact`)::
 
     manifest.json   identity, file hashes, volatile host section
                     (engine, wall seconds) kept outside the hash
@@ -14,7 +15,7 @@ upload machinery see it::
     events.jsonl    the window's seam events (unbounded tracer)
     profile.json    TickProfiler rows        (compiled engine only)
 
-Content addressing follows the run-artifact contract: the id hashes
+Content addressing follows the run-artifact contract: the hash covers
 the *target-deterministic* payload (capsule.json, window.jsonl,
 events.jsonl) plus the identity fields.  The identity deliberately
 excludes the tick engine and the profile -- both engines visit
@@ -26,20 +27,22 @@ makes a capsule a trustworthy record rather than a screenshot.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.observability.flight.artifact import (
     DEFAULT_ROOT,
-    MANIFEST_NAME,
     PROFILE_NAME,
-    ArtifactError,
-    _content_hash,
-    _sha256_text,
+    StoreEntry,
+    StoreKind,
     _slug,
     canonical_json,
+    entry_manifest,
+    jsonl,
+    list_entries,
+    load_entry,
+    verify_entry,
+    write_entry,
 )
 
 CAPSULE_SCHEMA_VERSION = 1
@@ -54,38 +57,26 @@ EVENTS_NAME = "events.jsonl"
 # host wall-time and engine-specific; it rides along unhashed.
 CAPSULE_HASHED_FILES = (CAPSULE_NAME, WINDOW_NAME, EVENTS_NAME)
 
-
-def _jsonl(records: List[dict]) -> str:
-    if not records:
-        return ""
-    return "\n".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
-        for record in records
-    ) + "\n"
+CAPSULE_STORE = StoreKind(
+    kind=CAPSULE_KIND,
+    identity=("schema", "kind", "label", "workload", "window", "violation"),
+    hashed_files=CAPSULE_HASHED_FILES,
+    noun="capsule",
+    list_hint="python -m repro debug list",
+)
 
 
 @dataclass
-class CapsuleArtifact:
+class CapsuleArtifact(StoreEntry):
     """One loaded capsule directory."""
-
-    path: str
-    manifest: Dict[str, Any]
 
     @property
     def capsule_id(self) -> str:
-        return str(self.manifest.get("run_id", os.path.basename(self.path)))
-
-    @property
-    def content_hash(self) -> str:
-        return str(self.manifest.get("content_hash", ""))
+        return self.run_id
 
     @property
     def label(self) -> str:
         return str(self.manifest.get("label", ""))
-
-    @property
-    def workload(self) -> Optional[str]:
-        return self.manifest.get("workload")
 
     @property
     def reason(self) -> str:
@@ -108,10 +99,6 @@ class CapsuleArtifact:
     def source_run(self) -> Optional[str]:
         return self.manifest.get("source_run")
 
-    @property
-    def host(self) -> Dict[str, Any]:
-        return dict(self.manifest.get("host", {}))
-
     def contains_cycle(self, cycle: int) -> bool:
         window = self.window
         start, end = window.get("start"), window.get("end")
@@ -119,38 +106,15 @@ class CapsuleArtifact:
             return False
         return start <= cycle <= end
 
-    # -- payload readers -------------------------------------------------
-
-    def _read(self, name: str) -> Optional[str]:
-        path = os.path.join(self.path, name)
-        if not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            return fh.read()
-
     def payload(self) -> Dict[str, Any]:
-        text = self._read(CAPSULE_NAME)
-        return json.loads(text) if text else {}
+        return self._read_json(CAPSULE_NAME) or {}
 
     def rows(self) -> List[Dict[str, Any]]:
         """The per-tick capture rows, in cycle order."""
-        text = self._read(WINDOW_NAME)
-        if not text:
-            return []
-        return [json.loads(line) for line in text.splitlines() if line]
+        return self._records(WINDOW_NAME)
 
     def events(self) -> List[Dict[str, Any]]:
-        text = self._read(EVENTS_NAME)
-        if not text:
-            return []
-        return [json.loads(line) for line in text.splitlines() if line]
-
-    def profile(self) -> Optional[Dict[str, Any]]:
-        text = self._read(PROFILE_NAME)
-        return json.loads(text) if text else None
-
-
-# -- emission --------------------------------------------------------------
+        return self._records(EVENTS_NAME)
 
 
 def emit_capsule(
@@ -184,8 +148,8 @@ def emit_capsule(
     }
     files: Dict[str, str] = {
         CAPSULE_NAME: canonical_json(payload),
-        WINDOW_NAME: _jsonl(capture.rows),
-        EVENTS_NAME: _jsonl(capture.events),
+        WINDOW_NAME: jsonl(capture.rows),
+        EVENTS_NAME: jsonl(capture.events),
     }
     if capture.profile is not None:
         files[PROFILE_NAME] = canonical_json(capture.profile)
@@ -198,95 +162,31 @@ def emit_capsule(
         "window": window,
         "violation": violation,
     }
-    file_hashes = {
-        name: _sha256_text(text)
-        for name, text in files.items()
-        if name in CAPSULE_HASHED_FILES
-    }
-    content_hash = _content_hash(identity, file_hashes)
-
-    base_id = "%s-%s-%s" % (CAPSULE_PREFIX, _slug(label), content_hash[:12])
-    os.makedirs(root, exist_ok=True)
-    capsule_id = base_id
-    serial = 1
-    while os.path.exists(os.path.join(root, capsule_id)):
-        # Same-content re-captures are kept side by side, like run
-        # artifacts: the byte-identity tests diff two of them.
-        serial += 1
-        capsule_id = "%s.%d" % (base_id, serial)
-    path = os.path.join(root, capsule_id)
-    os.makedirs(path)
-
-    manifest: Dict[str, Any] = dict(identity)
-    manifest["run_id"] = capsule_id
-    manifest["content_hash"] = content_hash
-    manifest["reason"] = reason
-    manifest["source_run"] = source_run
-    manifest["files"] = {
-        name: file_hashes.get(name, "") for name in sorted(files)
-    }
-    manifest["host"] = dict(host or {})
-    manifest["host"]["engine"] = capture.engine
-
-    for name, text in files.items():
-        with open(os.path.join(path, name), "w") as fh:
-            fh.write(text)
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path, manifest = write_entry(
+        CAPSULE_STORE,
+        "%s-%s" % (CAPSULE_PREFIX, _slug(label)),
+        identity,
+        files,
+        root,
+        reason=reason,
+        source_run=source_run,
+        host=dict(host or {}, engine=capture.engine),
+    )
     return CapsuleArtifact(path=path, manifest=manifest)
 
 
-# -- loading and query -----------------------------------------------------
-
-
 def is_capsule_dir(path: str) -> bool:
-    manifest = os.path.join(path, MANIFEST_NAME)
-    if not os.path.exists(manifest):
-        return False
-    try:
-        with open(manifest) as fh:
-            return json.load(fh).get("kind") == CAPSULE_KIND
-    except (OSError, ValueError):
-        return False
+    return entry_manifest(CAPSULE_STORE, path) is not None
 
 
 def list_capsules(root: str = DEFAULT_ROOT) -> List[str]:
     """Capsule ids under *root*, sorted."""
-    if not os.path.isdir(root):
-        return []
-    return sorted(
-        name
-        for name in os.listdir(root)
-        if is_capsule_dir(os.path.join(root, name))
-    )
+    return list_entries(CAPSULE_STORE, root)
 
 
 def load_capsule(ref: str, root: str = DEFAULT_ROOT) -> CapsuleArtifact:
     """Load a capsule by directory path, id, or unique id prefix."""
-    candidates: List[str] = []
-    if os.path.isdir(ref) and is_capsule_dir(ref):
-        candidates = [ref]
-    else:
-        direct = os.path.join(root, ref)
-        if is_capsule_dir(direct):
-            candidates = [direct]
-        else:
-            matches = [
-                cid for cid in list_capsules(root) if cid.startswith(ref)
-            ]
-            if len(matches) > 1:
-                raise ArtifactError(
-                    "ambiguous capsule %r: matches %s" % (ref, matches)
-                )
-            candidates = [os.path.join(root, m) for m in matches]
-    if not candidates:
-        raise ArtifactError(
-            "no capsule %r under %s (try 'python -m repro debug list')"
-            % (ref, root)
-        )
-    path = candidates[0]
-    with open(os.path.join(path, MANIFEST_NAME)) as fh:
-        manifest = json.load(fh)
+    path, manifest = load_entry(CAPSULE_STORE, ref, root)
     return CapsuleArtifact(path=path, manifest=manifest)
 
 
@@ -315,35 +215,7 @@ def find_capsules(
 def verify_capsule(capsule: CapsuleArtifact) -> List[str]:
     """Re-hash payload files against the manifest; returns problems
     (empty == intact)."""
-    problems = []
-    recorded = capsule.manifest.get("files", {})
-    for name, want in sorted(recorded.items()):
-        path = os.path.join(capsule.path, name)
-        if not os.path.exists(path):
-            problems.append("missing payload file %s" % name)
-            continue
-        if name not in CAPSULE_HASHED_FILES or not want:
-            continue
-        with open(path) as fh:
-            got = _sha256_text(fh.read())
-        if got != want:
-            problems.append(
-                "hash mismatch on %s: manifest %s.., file %s.."
-                % (name, want[:12], got[:12])
-            )
-    identity = {
-        key: capsule.manifest.get(key)
-        for key in ("schema", "kind", "label", "workload", "window",
-                    "violation")
-    }
-    hashes = {
-        name: value
-        for name, value in recorded.items()
-        if name in CAPSULE_HASHED_FILES and value
-    }
-    if _content_hash(identity, hashes) != capsule.content_hash:
-        problems.append("content hash does not match manifest identity")
-    return problems
+    return verify_entry(CAPSULE_STORE, capsule)
 
 
 # -- capsule diffing -------------------------------------------------------

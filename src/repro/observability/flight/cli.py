@@ -25,7 +25,6 @@ import os
 from typing import List, Optional
 
 from repro.observability.flight.analytics import (
-    flame_stacks,
     render_attribution,
     render_timeline,
     seam_attribution,
@@ -38,7 +37,7 @@ from repro.observability.flight.artifact import (
     load_artifact,
     verify_artifact,
 )
-from repro.observability.flight.capsule import find_capsules, is_capsule_dir
+from repro.observability.flight.capsule import find_capsules
 from repro.observability.flight.regression import (
     DEFAULT_NOISE,
     compare_against_bench,
@@ -87,17 +86,8 @@ def _describe_pulse(pulse: dict) -> str:
     return "pulse[%s]" % " ".join(parts)
 
 
-def _run_ids(root: str) -> List[str]:
-    """Run-artifact ids under *root*; debug capsules share the store
-    but are a different artifact kind (``repro debug list``)."""
-    return [
-        name for name in list_artifacts(root)
-        if not is_capsule_dir(os.path.join(root, name))
-    ]
-
-
 def _list(root: str) -> int:
-    run_ids = _run_ids(root)
+    run_ids = list_artifacts(root)
     if not run_ids:
         print("no run artifacts under %s" % root)
     for run_id in run_ids:
@@ -271,7 +261,7 @@ def _dispatch(args) -> int:
         else:
             targets = [
                 load_artifact(run_id, root=args.root)
-                for run_id in _run_ids(args.root)
+                for run_id in list_artifacts(args.root)
             ]
             targets = [
                 t for t in targets

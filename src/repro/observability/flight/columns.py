@@ -119,12 +119,6 @@ class ColumnTable:
     def sum(self, name: str) -> float:
         return sum(v for v in self._columns[name] if v is not MISSING)
 
-    def group_count(self, key: str) -> Dict[Any, int]:
-        out: Dict[Any, int] = {}
-        for value in self._columns[key]:
-            out[value] = out.get(value, 0) + 1
-        return out
-
     def group_sum(self, key: str, value: str) -> Dict[Any, float]:
         out: Dict[Any, float] = {}
         keys = self._columns[key]

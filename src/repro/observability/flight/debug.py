@@ -22,6 +22,7 @@ import argparse
 import json
 from typing import List, Optional
 
+from repro.observability.cli import add_run_arguments, simulator_factory
 from repro.observability.flight.artifact import ArtifactError, DEFAULT_ROOT
 from repro.observability.flight.capsule import (
     diff_capsules,
@@ -29,8 +30,6 @@ from repro.observability.flight.capsule import (
     load_capsule,
     verify_capsule,
 )
-
-DEFAULT_MAX_CYCLES = 2_000_000
 
 
 def _parse_watch(spec: str):
@@ -41,23 +40,6 @@ def _parse_watch(spec: str):
             "expected PROBE:THRESHOLD with PROBE one of rob, tb"
         )
     return probe_name, float(threshold)
-
-
-def _factory(args):
-    """A zero-argument simulator factory for *args* -- the determinism
-    anchor: every invocation rebuilds the identical coupled system."""
-    from repro.experiments.harness import build_fast_simulator
-    from repro.observability.cli import _build_workload
-    from repro.timing.core import TimingConfig
-
-    workload = _build_workload(args.workload, args.boot_sleep_ticks)
-
-    def build():
-        return build_fast_simulator(
-            workload, timing_config=TimingConfig(engine=args.engine)
-        )
-
-    return build
 
 
 def _watchpoint_cycle(factory, probe_name: str, threshold: float,
@@ -85,7 +67,7 @@ def _watchpoint_cycle(factory, probe_name: str, threshold: float,
 def _cmd_capture(args) -> int:
     from repro.observability.watch import capture_debug_capsule
 
-    factory = _factory(args)
+    _workload, factory = simulator_factory(args)
     center = args.at_cycle
     if center is None and args.watch_below is not None:
         probe_name, threshold = args.watch_below
@@ -273,10 +255,7 @@ def debug_main(argv: Optional[List[str]] = None) -> int:
         help="probe for an invariant violation (or use an explicit "
         "cycle/watchpoint) and capture the window around it",
     )
-    cap.add_argument("--workload", default="linux-boot",
-                     help="workload name (default %(default)s)")
-    cap.add_argument("--engine", default="compiled",
-                     choices=("compiled", "legacy"))
+    add_run_arguments(cap)
     cap.add_argument("--delta", type=int, default=64,
                      help="half-width of the capture window in cycles "
                      "(default %(default)s)")
@@ -290,8 +269,6 @@ def debug_main(argv: Optional[List[str]] = None) -> int:
                      metavar="PROBE:THRESHOLD",
                      help="capture around the first cycle the probe (rob "
                      "or tb occupancy) drops below THRESHOLD")
-    cap.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
-    cap.add_argument("--boot-sleep-ticks", type=int, default=20)
     cap.add_argument("--label", default=None,
                      help="capsule label (default: the invariant name)")
     cap.add_argument("--no-profile", action="store_true",

@@ -22,6 +22,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.observability.cli import add_run_arguments
 from repro.observability.pulse import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_INTERVAL_CYCLES,
@@ -154,20 +155,11 @@ def top_main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args) -> int:
-    from repro.experiments.harness import build_fast_simulator
-    from repro.observability.cli import _build_workload
+    from repro.observability.cli import simulator_factory
     from repro.observability.watch import InvariantMonitor
-    from repro.timing.core import TimingConfig
 
-    if args.workload != "linux-boot" and args.scale != 1:
-        from repro.workloads import build
-
-        workload = build(args.workload, scale=args.scale)
-    else:
-        workload = _build_workload(args.workload, args.boot_sleep_ticks)
-    sim = build_fast_simulator(
-        workload, timing_config=TimingConfig(engine=args.engine)
-    )
+    workload, factory = simulator_factory(args, scale=args.scale)
+    sim = factory()
     sidecar = args.sidecar or os.path.join(
         DEFAULT_PULSE_DIR, "%s.jsonl" % workload.name
     )
@@ -237,16 +229,11 @@ def pulse_main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="verb")
 
     run_p = sub.add_parser(
-        "run", help="run one workload with pulse + liveness watchdog armed"
+        "run", help="run one workload with pulse + liveness watchdog armed",
+        description="run one workload with pulse + liveness watchdog "
+        "armed; --max-cycles is also the ETA horizon",
     )
-    run_p.add_argument("--workload", default="linux-boot",
-                       help="workload name (default %(default)s)")
-    run_p.add_argument("--engine", default="compiled",
-                       choices=("compiled", "legacy"),
-                       help="tick engine (default %(default)s)")
-    run_p.add_argument("--max-cycles", type=int, default=2_000_000,
-                       help="cycle budget and ETA horizon "
-                       "(default %(default)s)")
+    add_run_arguments(run_p)
     run_p.add_argument("--interval-cycles", type=int,
                        default=DEFAULT_INTERVAL_CYCLES,
                        help="sampling cadence (default %(default)s)")
@@ -260,9 +247,6 @@ def pulse_main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--sidecar", default=None, metavar="PATH",
                        help="sidecar path (default %s/<workload>.jsonl)"
                        % DEFAULT_PULSE_DIR)
-    run_p.add_argument("--boot-sleep-ticks", type=int, default=20,
-                       help="sleep span of the default boot slice "
-                       "(default %(default)s)")
     run_p.add_argument("--scale", type=int, default=1,
                        help="workload scale factor for suite workloads "
                        "(default %(default)s; ignored by linux-boot)")

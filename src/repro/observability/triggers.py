@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-IDLE_HINT_UNBOUNDED = 1 << 40
+from repro.timing.core import IDLE_HINT_UNBOUNDED
 
 DEFAULT_MAX_FIRINGS = 10_000
 

@@ -35,11 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.timing.core import IDLE_HINT_UNBOUNDED
 from repro.timing.module import Invariant, Module
-
-# Effectively-infinite idle hint: an idle span never exceeds the run's
-# cycle budget.  (Same convention as fabric.py and triggers.py.)
-IDLE_HINT_UNBOUNDED = 1 << 40
 
 # The hint value Module.new_invariant documents for "cannot change
 # during a quiescent span" -- the common case for structural bounds,

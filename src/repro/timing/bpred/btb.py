@@ -8,7 +8,7 @@ decisions are identical to the per-set dict implementation it replaced.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.timing.module import Module
 from repro.timing.tables import LruTagStore
@@ -53,12 +53,6 @@ class BTB(Module):
             payloads[last] = target
         self.bump("hits")
         return target
-
-    def probe_many(self, pcs: Sequence[int]) -> List[Optional[int]]:
-        """Batch non-LRU-updating, non-counting target lookups for span
-        consumers and probes."""
-        sets = self.sets
-        return self._table.probe_many([((pc >> 1) % sets, pc) for pc in pcs])
 
     def install(self, pc: int, target: int) -> None:
         store = self._table

@@ -96,16 +96,6 @@ class SetAssocCache(Module):
         line = paddr >> self._line_shift
         return self._sets.find(line % self.num_sets, line // self.num_sets) >= 0
 
-    def probe_lines(self, paddrs) -> list:
-        """Batch non-destructive lookups (span consumers, probes)."""
-        num_sets = self.num_sets
-        shift = self._line_shift
-        find = self._sets.find
-        return [
-            find((paddr >> shift) % num_sets, (paddr >> shift) // num_sets) >= 0
-            for paddr in paddrs
-        ]
-
     def invalidate_all(self) -> None:
         self._sets.clear()
 

@@ -199,6 +199,11 @@ class _CommitListenerList(list):
 # the default target at issue widths 1, 2, 4 and 8.
 DEFAULT_ISSUE_WIDTHS = (1, 2, 4, 8)
 
+# The "skip as far as you can" idle hint for add_cycle_listener: an idle
+# span never comes near 2**40 cycles, so a listener returning this never
+# bounds idle fast-forward.
+IDLE_HINT_UNBOUNDED = 1 << 40
+
 
 def build_default_core(
     issue_width: int = 2, feed: Optional[InstructionFeed] = None
@@ -347,7 +352,8 @@ class TimingModel(Module):
         upcoming cycles the listener is guaranteed to ignore (its
         ``(cycle, cycle + n]`` calls would all be no-ops).  The compiled
         engine takes the minimum across listeners when batching idle
-        spans; registering without a hint disables idle fast-forward
+        spans; a hint returning :data:`IDLE_HINT_UNBOUNDED` never bounds
+        a span.  Registering without a hint disables idle fast-forward
         while this listener is subscribed (appending directly to
         ``cycle_listeners`` behaves the same way).
         """

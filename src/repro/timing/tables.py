@@ -5,9 +5,7 @@ saturating counters, BTB entries, cache tag arrays -- used to live in
 per-set Python dicts and lists of boxed ints.  On an FPGA these are
 block RAMs: dense, fixed-geometry, no pointer chasing.  This module is
 the host-side analogue: contiguous ``array`` storage with C-speed
-scans (``array.index``) and slice moves for LRU maintenance, plus
-batch lookup/summary paths for the span consumer and FastScope probes
-(one call summarizing a whole table instead of a Python loop).
+scans (``array.index``) and slice moves for LRU maintenance.
 
 Replacement behaviour is *exactly* the dict-based semantics these
 tables replace (LRU-first order, allocate-on-miss, write-allocate),
@@ -17,7 +15,6 @@ so every timing statistic stays bit-identical.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class SaturatingCounterTable:
@@ -54,22 +51,6 @@ class SaturatingCounterTable:
         elif counter > 0:
             counters[index] = counter - 1
 
-    # -- batch paths -----------------------------------------------------
-
-    def read_many(self, indices: Iterable[int]) -> List[int]:
-        counters = self._counters
-        return [counters[index] for index in indices]
-
-    def directions(self, indices: Iterable[int]) -> List[bool]:
-        counters = self._counters
-        return [counters[index] >= 2 for index in indices]
-
-    def saturation(self) -> float:
-        """Fraction of counters in a saturated state (0 or 3) -- a
-        one-call summary used by FastScope probes."""
-        counters = self._counters
-        return (counters.count(0) + counters.count(3)) / self.size
-
     def reset(self) -> None:
         # In place: hot-path consumers may hold a reference to the array.
         self._counters[:] = array(
@@ -91,8 +72,7 @@ class LruTagStore:
     consumers that own a store (cache, BTB): their single-access busy
     paths read/shift the arrays directly -- the software equivalent of
     wiring the BRAM ports straight into the pipeline stage -- while
-    this class keeps the generic single-entry API and the batch/summary
-    paths used by span consumers and probes.
+    this class keeps the generic single-entry API.
     """
 
     __slots__ = ("sets", "ways", "_tags", "_payload", "_count")
@@ -130,18 +110,6 @@ class LruTagStore:
             tags[end - 1] = tag
         payloads[end - 1] = payload
 
-    def evict_lru(self, set_index: int) -> Tuple[int, int]:
-        """Drop the LRU entry of a full set; returns (tag, payload)."""
-        tags = self._tags
-        payloads = self._payload
-        base = set_index * self.ways
-        end = base + self._count[set_index]
-        victim = (tags[base], payloads[base])
-        tags[base:end - 1] = tags[base + 1:end]
-        payloads[base:end - 1] = payloads[base + 1:end]
-        self._count[set_index] -= 1
-        return victim
-
     def insert(self, set_index: int, tag: int, payload: int) -> None:
         """Append *tag* at the MRU position (caller ensures room)."""
         count = self._count[set_index]
@@ -156,20 +124,3 @@ class LruTagStore:
     def clear(self) -> None:
         # In place: hot-path consumers may hold a reference to the array.
         self._count[:] = array("B", [0]) * self.sets
-
-    # -- batch paths -----------------------------------------------------
-
-    def probe_many(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Optional[int]]:
-        """Batch non-LRU-updating lookups: payload per (set, tag), or
-        None on miss."""
-        out: List[Optional[int]] = []
-        for set_index, tag in pairs:
-            slot = self.find(set_index, tag)
-            out.append(self._payload[slot] if slot >= 0 else None)
-        return out
-
-    def occupancy(self) -> int:
-        """Total valid entries across all sets (C-level sum)."""
-        return sum(self._count)

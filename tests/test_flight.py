@@ -590,3 +590,102 @@ def test_run_artifact_without_optional_payloads(tmp_path):
     assert art.trace_summary() is None
     assert not art.has_trace()
     assert verify_artifact(art) == []
+
+
+# -- one store, two kinds ----------------------------------------------------
+
+
+def _synthetic_capture():
+    from repro.functional.replay import WindowCapture
+
+    return WindowCapture(
+        center=10, delta=2, start_cycle=8, end_cycle=12, engine="compiled",
+        rows=[{"cycle": c, "pc": 0x1000 + 4 * c} for c in range(8, 13)],
+        events=[{"cycle": 9, "kind": "fm_rollback", "seq": 0}],
+        baseline={"timing_model/cycles": 8.0, "feed/fills": 2.0},
+        profile={"engine_seconds": 0.5},
+    )
+
+
+def _emit_synthetic_capsule(root):
+    from repro.observability.flight import emit_capsule
+
+    return emit_capsule(
+        _synthetic_capture(), label="golden", workload="synthetic",
+        reason="golden capture",
+        violation={"cycle": 10, "invariant": "golden"},
+        source_run="golden-run", host={"seconds": 0.25}, root=root,
+    )
+
+
+def test_run_artifact_lookups_skip_capsules(tmp_path, capsys):
+    root = str(tmp_path)
+    capsule = _emit_synthetic_capsule(root)
+    assert list_artifacts(root) == []
+    with pytest.raises(ArtifactError, match="no artifact"):
+        load_artifact(capsule.capsule_id, root=root)
+    assert report_main([capsule.capsule_id, "--root", root]) == 2
+    out = capsys.readouterr().out
+    assert "try 'python -m repro report --list'" in out
+    assert "INTEGRITY" not in out
+
+
+# sha256 of every file two synthetic emissions of each kind write: the
+# on-disk format (names, ids, manifest layout, payload encodings).
+GOLDEN_STORE = {
+    "capsule-golden-e3b6fc36771a/capsule.json":
+        "b8e1ccd20303d467d3e873ef8f8d6cf89cfb2473e1f2548959ee847785ca1322",
+    "capsule-golden-e3b6fc36771a/events.jsonl":
+        "1a236645d5422b323694dafdd06e5f2e9e86adf1c6bfb6c57a39c75c5d1353e3",
+    "capsule-golden-e3b6fc36771a/manifest.json":
+        "9a516bcaee1a423cbb122826e78bb0c75b1ea2e928bb171625e06616f2ca7ee6",
+    "capsule-golden-e3b6fc36771a/profile.json":
+        "0fc080310dee19af9fd2731684354f2dd65aabdd90d8da8a6dbd60f2223bb3a4",
+    "capsule-golden-e3b6fc36771a/window.jsonl":
+        "49f13b879203d5ddfc2525064dc371c3d2bd802544b780bf51dd1006acddb0f1",
+    "capsule-golden-e3b6fc36771a.2/capsule.json":
+        "b8e1ccd20303d467d3e873ef8f8d6cf89cfb2473e1f2548959ee847785ca1322",
+    "capsule-golden-e3b6fc36771a.2/events.jsonl":
+        "1a236645d5422b323694dafdd06e5f2e9e86adf1c6bfb6c57a39c75c5d1353e3",
+    "capsule-golden-e3b6fc36771a.2/manifest.json":
+        "cf9954db8629fd0f5efd7ce2502d5001532c4df23fcb1a4f3f1e9f9757435f27",
+    "capsule-golden-e3b6fc36771a.2/profile.json":
+        "0fc080310dee19af9fd2731684354f2dd65aabdd90d8da8a6dbd60f2223bb3a4",
+    "capsule-golden-e3b6fc36771a.2/window.jsonl":
+        "49f13b879203d5ddfc2525064dc371c3d2bd802544b780bf51dd1006acddb0f1",
+    "golden-synthetic-276d8076eceb/manifest.json":
+        "bb3ac67a04d3e47f63943470961555ab593b80dd2d31cdd84a32cd6f9c034f47",
+    "golden-synthetic-276d8076eceb/output.txt":
+        "14ab4e46269680ecbb85e6b0d4759f06da736370ac744b41051f5dbf1b88262c",
+    "golden-synthetic-276d8076eceb/stats.json":
+        "cc05ba89c405cca7d401c3a87e5debf4a7431d1041312a0680caf4116fd68a00",
+    "golden-synthetic-276d8076eceb.2/manifest.json":
+        "100143d5de9a9550ef9c3c5922460bba0901ccaabfe837e3391969c3908582a9",
+    "golden-synthetic-276d8076eceb.2/output.txt":
+        "14ab4e46269680ecbb85e6b0d4759f06da736370ac744b41051f5dbf1b88262c",
+    "golden-synthetic-276d8076eceb.2/stats.json":
+        "cc05ba89c405cca7d401c3a87e5debf4a7431d1041312a0680caf4116fd68a00",
+}
+
+
+def test_store_on_disk_format_is_golden(tmp_path):
+    import hashlib
+
+    root = str(tmp_path)
+    for _ in range(2):
+        emit_artifact(
+            experiment="golden", workload="synthetic",
+            config={"engine": "compiled", "max_cycles": 1000},
+            timing={"cycles": 1000, "instructions": 750},
+            output="golden output", extra={"note": "fixed"},
+            host={"seconds": 1.5, "cycles_per_sec": 666.0}, root=root,
+        )
+        _emit_synthetic_capsule(root)
+    written = {}
+    for run_dir in sorted(os.listdir(root)):
+        for name in sorted(os.listdir(os.path.join(root, run_dir))):
+            with open(os.path.join(root, run_dir, name), "rb") as fh:
+                written["%s/%s" % (run_dir, name)] = hashlib.sha256(
+                    fh.read()
+                ).hexdigest()
+    assert written == GOLDEN_STORE

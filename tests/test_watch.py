@@ -3,6 +3,7 @@ time-travel capsule capture (determinism across runs and engines), the
 debug CLI and the IV lint family."""
 
 import functools
+import os
 
 import pytest
 
@@ -428,3 +429,54 @@ def test_iv_rules_suppressible():
         "            'late', check=lambda: True, hint=1)\n"
     )
     assert list(report) == []
+
+
+# -- the capsule store -------------------------------------------------------
+
+
+def _synthetic_capsule(root, label="store"):
+    from repro.functional.replay import WindowCapture
+    from repro.observability.flight.capsule import emit_capsule
+
+    capture = WindowCapture(
+        center=10, delta=2, start_cycle=8, end_cycle=12, engine="compiled",
+        rows=[{"cycle": c, "pc": 0x1000 + 4 * c} for c in range(8, 13)],
+        events=[{"cycle": 9, "kind": "fm_rollback", "seq": 0}],
+        baseline={"timing_model/cycles": 8.0},
+    )
+    return emit_capsule(capture, label=label, workload=WORKLOAD,
+                        reason="synthetic", root=str(root))
+
+
+def test_capsule_verify_detects_tampered_payload(tmp_path):
+    capsule = _synthetic_capsule(tmp_path)
+    assert verify_capsule(capsule) == []
+    with open(os.path.join(capsule.path, "window.jsonl"), "a") as fh:
+        fh.write('{"cycle":13}\n')
+    problems = verify_capsule(capsule)
+    assert len(problems) == 1
+    assert problems[0].startswith("hash mismatch on window.jsonl")
+
+
+def test_capsule_verify_detects_missing_payload(tmp_path):
+    capsule = _synthetic_capsule(tmp_path)
+    os.remove(os.path.join(capsule.path, "events.jsonl"))
+    assert "missing payload file events.jsonl" in verify_capsule(capsule)
+
+
+def test_capsule_lookup_errors(tmp_path):
+    from repro.observability.flight.artifact import ArtifactError
+
+    first = _synthetic_capsule(tmp_path, label="one")
+    second = _synthetic_capsule(tmp_path, label="two")
+    assert list_capsules(str(tmp_path)) == sorted(
+        [first.capsule_id, second.capsule_id]
+    )
+    with pytest.raises(ArtifactError, match="ambiguous capsule 'capsule-'"):
+        load_capsule("capsule-", str(tmp_path))
+    with pytest.raises(ArtifactError) as excinfo:
+        load_capsule("capsule-nope", str(tmp_path))
+    assert str(excinfo.value) == (
+        "no capsule 'capsule-nope' under %s (try 'python -m repro debug "
+        "list')" % tmp_path
+    )
