@@ -15,9 +15,9 @@ Run:  python examples/os_boot_statistics.py
 """
 
 from repro.experiments.harness import build_fast_simulator
+from repro.observability.triggers import CompiledTriggerQuery
 from repro.timing.stats import (
     StatisticTraceSampler,
-    TriggerQuery,
     active_functional_units,
     estimate_power,
 )
@@ -32,11 +32,13 @@ def bar(fraction: float, width: int = 30) -> str:
 def main():
     sim = build_fast_simulator(build_workload("linux-2.4", 1))
     sampler = StatisticTraceSampler(sim.tm, interval=250)
-    query = TriggerQuery(
+    # The probe reads tm.cycle, so it is evaluated on every cycle.
+    query = CompiledTriggerQuery.below(
         sim.tm,
-        active_functional_units,
-        lambda busy: busy < 1,
-        name="no-active-fus",
+        "no-active-fus",
+        lambda: active_functional_units(sim.tm),
+        1,
+        single_step=True,
     )
     result = sim.run()
 
@@ -60,8 +62,8 @@ def main():
         "query '%s': fired %d times; first at cycle %s"
         % (
             query.name,
-            len(query.events),
-            query.events[0].cycle if query.events else "never",
+            query.fire_count,
+            query.first_fired if query.firings else "never",
         )
     )
 

@@ -31,15 +31,13 @@ lists and usage tracking live in :mod:`repro.analysis.suppress`).
 from __future__ import annotations
 
 import ast
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.suppress import (
     FileSuppressions,
+    SourceChecker,
     SuppressionTracker,
-    parse_ignores,
-    python_files,
 )
 
 _WALLCLOCK_TIME_FNS = frozenset(
@@ -55,10 +53,6 @@ _TIMEY_TOKENS = frozenset(
     {"cycle", "cycles", "time", "latency", "latencies", "mips",
      "seconds", "secs", "ns", "us", "ms", "hz", "mhz", "ghz"}
 )
-# Backwards-compatible aliases: the suppression machinery moved to
-# repro.analysis.suppress when the SH pass joined the rule families.
-_ignored_rules = parse_ignores
-_python_files = python_files
 
 
 def _name_tokens(node: ast.AST) -> Tuple[str, ...]:
@@ -81,29 +75,15 @@ def _is_float_literal(node: ast.AST) -> bool:
     )
 
 
-class _Checker(ast.NodeVisitor):
+class _Checker(SourceChecker):
+    error_rule = "DT000"
+
     def __init__(self, filename: str, source_lines: Sequence[str],
                  suppressions: Optional[FileSuppressions] = None):
-        self.filename = filename
-        self.lines = source_lines
-        self.suppressions = suppressions or FileSuppressions(
-            filename, source_lines
-        )
-        self.report = Report()
+        super().__init__(filename, source_lines, suppressions)
         # Names bound by "from time import perf_counter" style imports.
         self._time_aliases: set = set()
         self._random_aliases: set = set()
-
-    # -- plumbing --------------------------------------------------------
-
-    def _add(self, rule: str, severity: Severity, node: ast.AST,
-             message: str, hint: str = "") -> None:
-        line_no = getattr(node, "lineno", 0)
-        if self.suppressions.suppresses(rule, line_no):
-            return
-        self.report.add(
-            rule, severity, "%s:%d" % (self.filename, line_no), message, hint
-        )
 
     # -- imports ---------------------------------------------------------
 
@@ -266,21 +246,7 @@ class _Checker(ast.NodeVisitor):
 def lint_source(source: str, filename: str = "<string>",
                 suppressions: Optional[FileSuppressions] = None) -> Report:
     """Lint one Python source string; *filename* labels diagnostics."""
-    report = Report()
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        report.add(
-            "DT000",
-            Severity.ERROR,
-            "%s:%d" % (filename, exc.lineno or 0),
-            "syntax error: %s" % exc.msg,
-        )
-        return report
-    checker = _Checker(filename, source.splitlines(), suppressions)
-    checker.visit(tree)
-    report.extend(checker.report)
-    return report
+    return _Checker.lint_source(source, filename, suppressions)
 
 
 def lint_determinism(
@@ -290,35 +256,4 @@ def lint_determinism(
     """Lint Python files/directories; defaults to the installed
     ``repro`` package sources.  *tracker*, when given, shares ignore
     usage with the other AST passes (unused-ignore rule IG001)."""
-    if paths is None:
-        import repro
-
-        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    report = Report()
-    for path in paths:
-        files: List[str]
-        if not os.path.exists(path):
-            report.add(
-                "DT000",
-                Severity.ERROR,
-                path,
-                "no such file or directory",
-            )
-            continue
-        if os.path.isdir(path):
-            base = os.path.dirname(os.path.abspath(path))
-            files = list(python_files(path))
-        else:
-            base = os.path.dirname(os.path.abspath(path)) or "."
-            files = [path]
-        for file_path in files:
-            rel = os.path.relpath(os.path.abspath(file_path), base)
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            suppressions = None
-            if tracker is not None:
-                suppressions = tracker.for_file(
-                    file_path, rel, source.splitlines()
-                )
-            report.extend(lint_source(source, rel, suppressions))
-    return report
+    return _Checker.lint_paths(paths, tracker)

@@ -37,22 +37,15 @@ the sources (AST only, no execution), reusing the determinism pass's
 from __future__ import annotations
 
 import ast
-import os
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.suppress import (
     FileSuppressions,
+    SourceChecker,
     SuppressionTracker,
-    python_files,
 )
 from repro.timing.module import Module
-
-# Function names inside which stat registration is construction-time by
-# convention: initializers, dataclass post-init, builder helpers and the
-# ``new_*`` registration wrappers themselves.
-_CONSTRUCTION_PREFIXES: Tuple[str, ...] = ("build", "_build", "new_")
-_CONSTRUCTION_NAMES: Set[str] = {"__init__", "__post_init__"}
 
 _REGISTRATION_CALLS: Set[str] = {
     "new_counter",
@@ -99,43 +92,8 @@ def lint_stat_registry(root: Module) -> Report:
 # -- ST002/ST003: AST lint ---------------------------------------------------
 
 
-class _StatChecker(ast.NodeVisitor):
-    def __init__(self, filename: str, source_lines: Sequence[str],
-                 suppressions: Optional[FileSuppressions] = None):
-        self.filename = filename
-        self.lines = source_lines
-        self.suppressions = suppressions or FileSuppressions(
-            filename, source_lines
-        )
-        self.report = Report()
-        self._function_stack: List[str] = []
-
-    def _add(self, rule: str, severity: Severity, node: ast.AST,
-             message: str, hint: str = "") -> None:
-        line_no = getattr(node, "lineno", 0)
-        if self.suppressions.suppresses(rule, line_no):
-            return
-        self.report.add(
-            rule, severity, "%s:%d" % (self.filename, line_no), message, hint
-        )
-
-    def _visit_function(self, node) -> None:
-        self._function_stack.append(node.name)
-        self.generic_visit(node)
-        self._function_stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def _in_construction(self) -> bool:
-        if not self._function_stack:
-            # Module level: a stat registered at import time belongs to
-            # no module instance under construction.
-            return False
-        name = self._function_stack[-1]
-        if name in _CONSTRUCTION_NAMES:
-            return True
-        return name.startswith(_CONSTRUCTION_PREFIXES)
+class _StatChecker(SourceChecker):
+    error_rule = "ST000"
 
     def _check_pulse_emitter(self, node: ast.Call) -> None:
         # ST004: PulseEmitter(single_step=...) with anything but a
@@ -234,21 +192,7 @@ class _StatChecker(ast.NodeVisitor):
 def lint_stat_source(source: str, filename: str = "<string>",
                      suppressions: Optional[FileSuppressions] = None) -> Report:
     """Run ST002/ST003 over one Python source string."""
-    report = Report()
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        report.add(
-            "ST000",
-            Severity.ERROR,
-            "%s:%d" % (filename, exc.lineno or 0),
-            "syntax error: %s" % exc.msg,
-        )
-        return report
-    checker = _StatChecker(filename, source.splitlines(), suppressions)
-    checker.visit(tree)
-    report.extend(checker.report)
-    return report
+    return _StatChecker.lint_source(source, filename, suppressions)
 
 
 def lint_stat_sources(
@@ -257,30 +201,4 @@ def lint_stat_sources(
 ) -> Report:
     """ST002/ST003 over Python files/directories; defaults to the
     installed ``repro`` package sources."""
-    if paths is None:
-        import repro
-
-        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    report = Report()
-    for path in paths:
-        if not os.path.exists(path):
-            report.add("ST000", Severity.ERROR, path,
-                       "no such file or directory")
-            continue
-        if os.path.isdir(path):
-            base = os.path.dirname(os.path.abspath(path))
-            files = list(python_files(path))
-        else:
-            base = os.path.dirname(os.path.abspath(path)) or "."
-            files = [path]
-        for file_path in files:
-            rel = os.path.relpath(os.path.abspath(file_path), base)
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            suppressions = None
-            if tracker is not None:
-                suppressions = tracker.for_file(
-                    file_path, rel, source.splitlines()
-                )
-            report.extend(lint_stat_source(source, rel, suppressions))
-    return report
+    return _StatChecker.lint_paths(paths, tracker)

@@ -16,15 +16,21 @@ used by any one pass is used), and reports the leftovers as rule
 ``IG001``.  Structural rules (TG*, MC*, ST001, SH001-SH003/SH006)
 locate findings by module path or opcode, not by source line, and are
 deliberately not suppressible -- fix the structure instead.
+
+:class:`SourceChecker` is the other half of the shared machinery: the
+per-file plumbing (parse, path walk, labels, suppression routing,
+construction-context tracking) that the determinism, stats and watch
+source passes inherit, each adding only its rules.
 """
 
 from __future__ import annotations
 
+import ast
 import io
 import os
 import re
 import tokenize
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report, Severity
 
@@ -164,3 +170,114 @@ def python_files(root: str) -> Iterable[str]:
         for filename in sorted(filenames):
             if filename.endswith(".py"):
                 yield os.path.join(dirpath, filename)
+
+
+# Function names inside which registration is construction-time by
+# convention: initializers, dataclass post-init, builder helpers and the
+# ``new_*`` registration wrappers themselves (ST002, IV001).
+_CONSTRUCTION_PREFIXES: Tuple[str, ...] = ("build", "_build", "new_")
+_CONSTRUCTION_NAMES: Set[str] = {"__init__", "__post_init__"}
+
+
+class SourceChecker(ast.NodeVisitor):
+    """Plumbing shared by the AST source passes (DT, ST, IV).
+
+    A subclass adds its ``visit_*`` rules and names its pass's
+    ``error_rule`` (``DT000``/``ST000``/``IV000``), which reports
+    unparsable sources and missing paths.  :meth:`lint_source` and
+    :meth:`lint_paths` are the pass's whole public surface.
+    """
+
+    error_rule = ""
+
+    def __init__(self, filename: str, source_lines: Sequence[str],
+                 suppressions: Optional[FileSuppressions] = None):
+        self.filename = filename
+        self.suppressions = suppressions or FileSuppressions(
+            filename, source_lines
+        )
+        self.report = Report()
+        self._function_stack: List[str] = []
+
+    def _add(self, rule: str, severity: Severity, node: ast.AST,
+             message: str, hint: str = "") -> None:
+        line_no = getattr(node, "lineno", 0)
+        if self.suppressions.suppresses(rule, line_no):
+            return
+        self.report.add(
+            rule, severity, "%s:%d" % (self.filename, line_no), message, hint
+        )
+
+    def _visit_function(self, node) -> None:
+        self._function_stack.append(node.name)
+        self.generic_visit(node)
+        self._function_stack.pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def _in_construction(self) -> bool:
+        if not self._function_stack:
+            # Module level: a registration at import time belongs to
+            # no instance under construction.
+            return False
+        name = self._function_stack[-1]
+        if name in _CONSTRUCTION_NAMES:
+            return True
+        return name.startswith(_CONSTRUCTION_PREFIXES)
+
+    @classmethod
+    def lint_source(cls, source: str, filename: str = "<string>",
+                    suppressions: Optional[FileSuppressions] = None
+                    ) -> Report:
+        """Check one Python source string; *filename* labels
+        diagnostics."""
+        try:
+            tree = ast.parse(source, filename=filename)
+        except SyntaxError as exc:
+            report = Report()
+            report.add(
+                cls.error_rule,
+                Severity.ERROR,
+                "%s:%d" % (filename, exc.lineno or 0),
+                "syntax error: %s" % exc.msg,
+            )
+            return report
+        checker = cls(filename, source.splitlines(), suppressions)
+        checker.visit(tree)
+        return checker.report
+
+    @classmethod
+    def lint_paths(cls, paths: Optional[Sequence[str]] = None,
+                   tracker: Optional[SuppressionTracker] = None) -> Report:
+        """Check Python files/directories (default: the installed
+        ``repro`` package sources), labelling each file relative to
+        the directory holding its root argument.  *tracker*, when
+        given, shares ignore usage with the other passes (IG001)."""
+        if paths is None:
+            import repro
+
+            paths = [os.path.dirname(os.path.abspath(repro.__file__))]
+        report = Report()
+        for path in paths:
+            if not os.path.exists(path):
+                report.add(cls.error_rule, Severity.ERROR, path,
+                           "no such file or directory")
+                continue
+            if os.path.isdir(path):
+                base = os.path.dirname(os.path.abspath(path))
+                files = list(python_files(path))
+            else:
+                base = os.path.dirname(os.path.abspath(path)) or "."
+                files = [path]
+            for file_path in files:
+                rel = os.path.relpath(os.path.abspath(file_path), base)
+                with open(file_path, "r", encoding="utf-8") as handle:
+                    source = handle.read()
+                suppressions = None
+                if tracker is not None:
+                    suppressions = tracker.for_file(
+                        file_path, rel, source.splitlines()
+                    )
+                report.extend(cls.lint_source(source, rel, suppressions))
+        return report

@@ -35,19 +35,14 @@ machinery with the other source passes.
 from __future__ import annotations
 
 import ast
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.suppress import (
     FileSuppressions,
+    SourceChecker,
     SuppressionTracker,
-    python_files,
 )
-
-# Same construction-time convention as ST002 (stat_rules).
-_CONSTRUCTION_PREFIXES: Tuple[str, ...] = ("build", "_build", "new_")
-_CONSTRUCTION_NAMES: Set[str] = {"__init__", "__post_init__"}
 
 _REGISTRATION_CALLS: Set[str] = {"new_invariant", "register_invariant"}
 
@@ -129,28 +124,15 @@ def _mutations(node: ast.AST) -> List[Tuple[int, str]]:
     return found
 
 
-class _WatchChecker(ast.NodeVisitor):
+class _WatchChecker(SourceChecker):
+    error_rule = "IV000"
+
     def __init__(self, filename: str, source_lines: Sequence[str],
                  suppressions: Optional[FileSuppressions] = None):
-        self.filename = filename
-        self.lines = source_lines
-        self.suppressions = suppressions or FileSuppressions(
-            filename, source_lines
-        )
-        self.report = Report()
-        self._function_stack: List[str] = []
+        super().__init__(filename, source_lines, suppressions)
         # Innermost enclosing class's method name -> FunctionDef, so a
         # ``check=self._method`` reference can be resolved statically.
         self._class_methods: List[Dict[str, ast.AST]] = []
-
-    def _add(self, rule: str, severity: Severity, node: ast.AST,
-             message: str, hint: str = "") -> None:
-        line_no = getattr(node, "lineno", 0)
-        if self.suppressions.suppresses(rule, line_no):
-            return
-        self.report.add(
-            rule, severity, "%s:%d" % (self.filename, line_no), message, hint
-        )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         methods: Dict[str, ast.AST] = {}
@@ -160,22 +142,6 @@ class _WatchChecker(ast.NodeVisitor):
         self._class_methods.append(methods)
         self.generic_visit(node)
         self._class_methods.pop()
-
-    def _visit_function(self, node) -> None:
-        self._function_stack.append(node.name)
-        self.generic_visit(node)
-        self._function_stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def _in_construction(self) -> bool:
-        if not self._function_stack:
-            return False
-        name = self._function_stack[-1]
-        if name in _CONSTRUCTION_NAMES:
-            return True
-        return name.startswith(_CONSTRUCTION_PREFIXES)
 
     def _check_body(self, check: ast.AST) -> Optional[ast.AST]:
         """The AST whose body IV002 inspects: the lambda itself, or the
@@ -262,21 +228,7 @@ def lint_watch_source(source: str, filename: str = "<string>",
                       suppressions: Optional[FileSuppressions] = None,
                       ) -> Report:
     """Run IV001-IV003 over one Python source string."""
-    report = Report()
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        report.add(
-            "IV000",
-            Severity.ERROR,
-            "%s:%d" % (filename, exc.lineno or 0),
-            "syntax error: %s" % exc.msg,
-        )
-        return report
-    checker = _WatchChecker(filename, source.splitlines(), suppressions)
-    checker.visit(tree)
-    report.extend(checker.report)
-    return report
+    return _WatchChecker.lint_source(source, filename, suppressions)
 
 
 def lint_watch_sources(
@@ -285,30 +237,4 @@ def lint_watch_sources(
 ) -> Report:
     """IV001-IV003 over Python files/directories; defaults to the
     installed ``repro`` package sources."""
-    if paths is None:
-        import repro
-
-        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    report = Report()
-    for path in paths:
-        if not os.path.exists(path):
-            report.add("IV000", Severity.ERROR, path,
-                       "no such file or directory")
-            continue
-        if os.path.isdir(path):
-            base = os.path.dirname(os.path.abspath(path))
-            files = list(python_files(path))
-        else:
-            base = os.path.dirname(os.path.abspath(path)) or "."
-            files = [path]
-        for file_path in files:
-            rel = os.path.relpath(os.path.abspath(file_path), base)
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            suppressions = None
-            if tracker is not None:
-                suppressions = tracker.for_file(
-                    file_path, rel, source.splitlines()
-                )
-            report.extend(lint_watch_source(source, rel, suppressions))
-    return report
+    return _WatchChecker.lint_paths(paths, tracker)

@@ -9,30 +9,28 @@ from repro.baselines.fpga_cache import (
     HybridCacheResult,
     price_fpga_cache_hybrid,
 )
-from repro.baselines.lockstep import LockStepFeed, LockStepStats
-from repro.baselines.monolithic import MonolithicResult, MonolithicSimulator
+from repro.baselines.lockstep import (
+    LockStepFeed,
+    LockStepResult,
+    LockStepSimulator,
+    LockStepStats,
+)
 from repro.baselines.survey import (
     TABLE3_SURVEY,
     SimulatorSurveyRow,
     survey_row,
-)
-from repro.baselines.timing_directed import (
-    TimingDirectedResult,
-    TimingDirectedSimulator,
 )
 
 __all__ = [
     "FastSimResult",
     "HybridCacheResult",
     "LockStepFeed",
+    "LockStepResult",
+    "LockStepSimulator",
     "LockStepStats",
     "MemoizationModel",
-    "MonolithicResult",
-    "MonolithicSimulator",
     "SimulatorSurveyRow",
     "TABLE3_SURVEY",
-    "TimingDirectedResult",
-    "TimingDirectedSimulator",
     "price_fastsim",
     "price_fpga_cache_hybrid",
     "survey_row",

@@ -5,8 +5,9 @@ cycle-accurate (or near cycle-accurate) simulators.  The industry
 numbers come from personal communications and cannot be re-measured;
 they are reproduced as reported.  The sim-outorder/GEMS-class and FAST
 rows are *also* produced live by our own baselines
-(:mod:`repro.baselines.monolithic`, :class:`repro.fast.FastSimulator`),
-which is how the benchmark regenerating Table 3 checks the shape.
+(:class:`repro.baselines.lockstep.LockStepSimulator`,
+:class:`repro.fast.FastSimulator`), which is how the benchmark
+regenerating Table 3 checks the shape.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.baselines.fpga_cache import price_fpga_cache_hybrid
-from repro.baselines.monolithic import MonolithicSimulator
-from repro.baselines.timing_directed import TimingDirectedSimulator
+from repro.baselines.lockstep import LockStepSimulator
 from repro.experiments.harness import (
     build_fast_simulator,
     format_table,
@@ -47,30 +46,26 @@ def partitioning_ablation(
     rows: List[ArchitectureRow] = []
     wl = build_workload(workload, scale)
 
-    mono = MonolithicSimulator.from_programs(wl.programs,
-                                             kernel_config=wl.kernel_config)
-    mono_result = mono.run()
+    lockstep = LockStepSimulator.from_programs(
+        wl.programs, kernel_config=wl.kernel_config
+    )
+    priced = lockstep.run()
     rows.append(
-        ArchitectureRow("monolithic software", mono_result.mips,
+        ArchitectureRow("monolithic software", priced.mips,
                         "sim-outorder structure")
     )
-
-    td = TimingDirectedSimulator.from_programs(
-        build_workload(workload, scale).programs,
-        kernel_config=wl.kernel_config,
-    )
-    td_result = td.run()
     rows.append(
-        ArchitectureRow("timing-directed software", td_result.mips_software,
+        ArchitectureRow("timing-directed software", priced.mips_software,
                         "Asim structure")
     )
     rows.append(
         ArchitectureRow(
-            "timing-directed FPGA split", td_result.mips_split,
+            "timing-directed FPGA split", priced.mips_split,
             "round trip per fetch: F~1",
         )
     )
-    hybrid = price_fpga_cache_hybrid(td_result.timing, td.fm.stats.executed)
+    hybrid = price_fpga_cache_hybrid(priced.timing,
+                                     lockstep.fm.stats.executed)
     rows.append(
         ArchitectureRow(
             "FPGA L1 cache hybrid", hybrid.hybrid_mips,

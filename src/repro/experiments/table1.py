@@ -17,6 +17,7 @@ from repro.experiments.harness import (
     finish_experiment,
     format_table,
 )
+from repro.functional.model import FunctionalModel
 from repro.kernel.layout import VBASE
 from repro.workloads import build as build_workload
 from repro.workloads.suite import SUITE_ORDER
@@ -54,18 +55,46 @@ class Table1Row:
     paper_uops: float
 
 
+def _run_workload_phase(fm: FunctionalModel, max_instructions: int) -> int:
+    """Run *fm* standalone, resetting microcode coverage right after
+    the first user-mode instruction; returns instructions executed.
+
+    The boot is stepped one instruction at a time -- the same loop as
+    :meth:`FunctionalModel.run`'s stepped path, with its commit grid
+    and halt handling -- so the reset lands exactly on that
+    instruction however the batched path groups the rest of the run.
+    """
+    executed = 0
+    idle = 0
+    while executed < max_instructions:
+        entry = fm.execute_next()
+        if fm.bus.shutdown_requested:
+            break
+        if entry is None:
+            if fm.state.halted and not fm.state.interrupts_enabled:
+                break  # HALT with no possible wake: program finished
+            idle += 1
+            if idle > 200_000:
+                raise RuntimeError("functional model wedged while halted")
+            continue
+        idle = 0
+        executed += 1
+        if executed % 1024 == 0:
+            fm.commit(fm.in_count)
+        if entry.pc >= VBASE:
+            fm.microcode.reset_coverage()
+            return executed + fm.run(max_instructions - executed)
+    return executed
+
+
 def measure_workload(name: str, scale: int = 1,
                      max_instructions: int = 3_000_000) -> Table1Row:
     workload = build_workload(name, scale)
     fm = boot_functional(workload)
-    state = {"reset_done": name in BOOT_WORKLOADS}
-
-    def on_entry(entry):
-        if not state["reset_done"] and entry.pc >= VBASE:
-            fm.microcode.reset_coverage()
-            state["reset_done"] = True
-
-    executed = fm.run(max_instructions=max_instructions, on_entry=on_entry)
+    if name in BOOT_WORKLOADS:
+        executed = fm.run(max_instructions=max_instructions)
+    else:
+        executed = _run_workload_phase(fm, max_instructions)
     cov = fm.microcode.coverage
     paper = PAPER_TABLE1.get(name, (float("nan"), float("nan")))
     return Table1Row(

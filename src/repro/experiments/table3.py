@@ -2,10 +2,11 @@
 
 Combines the paper's survey rows (reported industry numbers) with
 *live* measurements from our own baseline architectures on the same
-workload: the monolithic software simulator, the timing-directed
-lock-step simulator (both host mappings), and FAST.  The shape to
-check: FAST is orders of magnitude faster than software cycle-accurate
-simulation, and the no-speculation FPGA split is capped by round trips.
+workload: one lock-step run priced as the monolithic software
+simulator and as the timing-directed simulator (both host mappings),
+and FAST.  The shape to check: FAST is orders of magnitude faster than
+software cycle-accurate simulation, and the no-speculation FPGA split
+is capped by round trips.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.baselines.monolithic import MonolithicSimulator
+from repro.baselines.lockstep import LockStepSimulator
 from repro.baselines.survey import TABLE3_SURVEY
-from repro.baselines.timing_directed import TimingDirectedSimulator
 from repro.experiments.harness import (
     build_fast_simulator,
     finish_experiment,
@@ -42,33 +42,26 @@ def measured_rows(
     """Run our live baselines on one workload."""
     rows: List[Table3Row] = []
 
-    mono = MonolithicSimulator.from_programs(
+    lockstep = LockStepSimulator.from_programs(
         build_workload(workload_name, scale).programs,
         timing_config=TimingConfig(predictor="gshare"),
-    )
-    mono_result = mono.run(max_cycles=max_cycles)
+    ).run(max_cycles=max_cycles)
     rows.append(
         Table3Row(
             "monolithic (sim-outorder-like)",
             "FastISA",
             "Fig.3 OOO",
-            mono_result.kips * 1e3,
+            lockstep.kips * 1e3,
             True,
             "measured",
         )
     )
-
-    td = TimingDirectedSimulator.from_programs(
-        build_workload(workload_name, scale).programs,
-        timing_config=TimingConfig(predictor="gshare"),
-    )
-    td_result = td.run(max_cycles=max_cycles)
     rows.append(
         Table3Row(
             "timing-directed (Asim-like, software)",
             "FastISA",
             "Fig.3 OOO",
-            td_result.mips_software * 1e6,
+            lockstep.mips_software * 1e6,
             True,
             "measured",
         )
@@ -78,7 +71,7 @@ def measured_rows(
             "timing-directed (FPGA split, no speculation)",
             "FastISA",
             "Fig.3 OOO",
-            td_result.mips_split * 1e6,
+            lockstep.mips_split * 1e6,
             True,
             "measured",
         )

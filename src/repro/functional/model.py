@@ -13,10 +13,10 @@ modified QEMU it:
 
 Device time advances once per executed instruction (QEMU icount-style),
 so interrupt delivery points are a deterministic function of the
-committed instruction stream.  That determinism is what makes the three
-drivers (monolithic, timing-directed, FAST) produce *identical* traces
-and therefore identical cycle counts -- the core correctness invariant
-of this reproduction.
+committed instruction stream.  That determinism is what makes the two
+couplings (lock-step, FAST) produce *identical* traces and therefore
+identical cycle counts -- the core correctness invariant of this
+reproduction.
 """
 
 from __future__ import annotations

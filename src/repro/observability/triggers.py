@@ -4,11 +4,10 @@
 units drop below 1?', can continuously run in hardware at full speed."
 (paper section 3)
 
-The legacy :class:`repro.timing.stats.TriggerQuery` appends a bare
-listener to ``tm.cycle_listeners`` -- which disables the compiled
-engine's idle fast-forward entirely, because a hintless listener may
-need to observe *every* cycle.  :class:`CompiledTriggerQuery` is the
-engine-aware replacement: it registers through
+A bare listener appended to ``tm.cycle_listeners`` disables the
+compiled engine's idle fast-forward entirely, because a hintless
+listener may need to observe *every* cycle.  :class:`CompiledTriggerQuery`
+is the engine-aware query: it registers through
 ``tm.add_cycle_listener`` **with an idle hint** (FastLint rule ST003
 flags the bare-append pattern).
 

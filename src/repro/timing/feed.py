@@ -4,7 +4,7 @@ The timing model consumes trace entries *in fetch order* through this
 interface and drives path changes through it.  The two concrete feeds
 are the point of the paper:
 
-* :class:`~repro.baselines.timing_directed.LockStepFeed` executes the
+* :class:`~repro.baselines.lockstep.LockStepFeed` executes the
   functional model exactly when the timing model fetches (the
   Asim/Timing-First structure: a round trip per fetch), and
 * :class:`~repro.fast.trace_buffer.TraceBufferFeed` lets the functional

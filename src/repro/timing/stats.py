@@ -11,14 +11,16 @@ counter snapshots every N committed basic blocks, yielding per-window
 branch-prediction accuracy, I-cache hit rate and pipe-drain percentage
 (the boot-phase structure of Figure 6).
 
-:class:`TriggerQuery` models the continuously-evaluated hardware
-queries; in this Python host they cost real time, so they are opt-in.
+:func:`active_functional_units` probes the paper's example query; the
+continuously-evaluated queries themselves are
+:class:`repro.observability.triggers.CompiledTriggerQuery`, opt-in
+because in this Python host they cost real time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.timing.core import TimingModel
 
@@ -129,53 +131,6 @@ class StatisticTraceSampler:
         self._finalized = True
         if self.tm.cycle > self._last["cycle"]:
             self._close_window(elided=True)
-
-
-@dataclass
-class TriggerEvent:
-    cycle: int
-    value: float
-
-
-class TriggerQuery:
-    """A continuously-evaluated predicate over timing-model state.
-
-    *probe* maps the TimingModel to a number each cycle; the query
-    records the cycles at which *predicate* first becomes true (edge
-    triggered), modeling the paper's start/stop/dump triggers.
-    """
-
-    def __init__(
-        self,
-        tm: TimingModel,
-        probe: Callable[[TimingModel], float],
-        predicate: Callable[[float], bool],
-        name: str = "query",
-        max_events: int = 10_000,
-    ):
-        self.tm = tm
-        self.probe = probe
-        self.predicate = predicate
-        self.name = name
-        self.max_events = max_events
-        self.events: List[TriggerEvent] = []
-        self._armed = True
-        # Registering without an idle hint pins the compiled engine to
-        # single-stepping for the whole run.  Kept for probes that are
-        # genuinely cycle-dependent; prefer
-        # repro.observability.triggers.CompiledTriggerQuery, which
-        # declares a hint.
-        tm.cycle_listeners.append(self._on_cycle)  # fastlint: ignore[ST003]
-
-    def _on_cycle(self, cycle: int) -> None:
-        value = self.probe(self.tm)
-        active = self.predicate(value)
-        if active and self._armed:
-            if len(self.events) < self.max_events:
-                self.events.append(TriggerEvent(cycle, value))
-            self._armed = False
-        elif not active:
-            self._armed = True
 
 
 def active_functional_units(tm: TimingModel) -> float:

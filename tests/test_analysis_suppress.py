@@ -2,12 +2,17 @@
 
 import textwrap
 
-from repro.analysis.determinism import lint_source
+import pytest
+
+from repro.analysis.determinism import lint_determinism, lint_source
+from repro.analysis.diagnostics import Severity
+from repro.analysis.stat_rules import lint_stat_source, lint_stat_sources
 from repro.analysis.suppress import (
     FileSuppressions,
     SuppressionTracker,
     parse_ignores,
 )
+from repro.analysis.watch_rules import lint_watch_source, lint_watch_sources
 
 
 def test_parse_ignore_forms():
@@ -87,3 +92,35 @@ def test_tracker_shares_usage_across_passes():
     assert first is second
     lint_source(source, "sample.py", first)
     assert tracker.report_unused().by_rule("IG001") == ()
+
+
+@pytest.mark.parametrize(
+    "lint_one, lint_paths, rule",
+    [
+        (lint_source, lint_determinism, "DT000"),
+        (lint_stat_source, lint_stat_sources, "ST000"),
+        (lint_watch_source, lint_watch_sources, "IV000"),
+    ],
+    ids=["determinism", "stats", "watch"],
+)
+def test_source_pass_reports_its_own_error_rule(lint_one, lint_paths, rule,
+                                                tmp_path):
+    def findings(report):
+        return [(d.rule, d.severity, d.location, d.message) for d in report]
+
+    [unparsable] = findings(lint_one("def broken(:\n", "bad.py"))
+    assert unparsable[:3] == (rule, Severity.ERROR, "bad.py:1")
+    assert unparsable[3].startswith("syntax error: ")
+
+    missing = str(tmp_path / "absent.py")
+    assert findings(lint_paths([missing])) == [
+        (rule, Severity.ERROR, missing, "no such file or directory"),
+    ]
+
+    # A directory argument labels its files relative to its parent.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "bad.py").write_text("def broken(:\n")
+    assert [d.location for d in lint_paths([str(package)])] == [
+        "pkg/bad.py:1",
+    ]

@@ -4,10 +4,9 @@ hybrid, FastSim-style, and the Table 3 shape assertions."""
 import pytest
 
 from repro.baselines import (
+    LockStepSimulator,
     MemoizationModel,
-    MonolithicSimulator,
     TABLE3_SURVEY,
-    TimingDirectedSimulator,
     price_fastsim,
     price_fpga_cache_hybrid,
     survey_row,
@@ -34,19 +33,16 @@ spin:
 
 @pytest.fixture(scope="module")
 def runs():
-    mono = MonolithicSimulator.from_programs(
+    # One lock-step run carries both the monolithic and the
+    # timing-directed pricings.
+    lockstep = LockStepSimulator.from_programs(
         [PROGRAM], timing_config=TimingConfig(predictor="gshare")
-    )
-    mono_result = mono.run()
-    td = TimingDirectedSimulator.from_programs(
-        [PROGRAM], timing_config=TimingConfig(predictor="gshare")
-    )
-    td_result = td.run()
+    ).run()
     fast = FastSimulator.from_programs(
         [PROGRAM], timing_config=TimingConfig(predictor="gshare")
     )
     fast.run()
-    return mono_result, td_result, fast
+    return lockstep, lockstep, fast
 
 
 class TestCycleAgreement:

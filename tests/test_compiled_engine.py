@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.timing_rules import lint_timing_graph
-from repro.baselines.lockstep import LockStepFeed
-from repro.baselines.monolithic import MonolithicSimulator
+from repro.baselines.lockstep import LockStepFeed, LockStepSimulator
 from repro.fast.trace_buffer import TraceBufferFeed
 from repro.kernel import KernelConfig, UserProgram
 from repro.microcode import MicrocodeTable
@@ -171,7 +170,7 @@ class TestEngineEquivalence:
     def test_monolithic_driver(self):
         results = {}
         for engine in ("legacy", "compiled"):
-            sim = MonolithicSimulator.from_programs(
+            sim = LockStepSimulator.from_programs(
                 [_program(40, 1)],
                 timing_config=TimingConfig(engine=engine),
             )

@@ -15,9 +15,9 @@ from repro.experiments.bottleneck import (
 )
 from repro.fast import FastSimulator
 from repro.kernel import UserProgram
+from repro.observability.triggers import CompiledTriggerQuery
 from repro.timing.stats import (
     StatisticTraceSampler,
-    TriggerQuery,
     active_functional_units,
     estimate_power,
 )
@@ -42,8 +42,10 @@ spin:
 def sampled_sim():
     sim = FastSimulator.from_programs([PROGRAM])
     sampler = StatisticTraceSampler(sim.tm, interval=200)
-    query = TriggerQuery(
-        sim.tm, active_functional_units, lambda v: v < 1, name="idle-fus"
+    # The probe reads tm.cycle, so it is evaluated on every cycle.
+    query = CompiledTriggerQuery.below(
+        sim.tm, "idle-fus", lambda: active_functional_units(sim.tm), 1,
+        single_step=True,
     )
     sim.run()
     power = estimate_power(sim.tm)
@@ -79,10 +81,10 @@ class TestSampler:
 class TestTriggerQuery:
     def test_query_fires_edge_triggered(self, sampled_sim):
         _, _, query, _ = sampled_sim
-        assert len(query.events) > 0
+        assert len(query.firings) > 0
         # Edge triggering: consecutive events are not on adjacent cycles
         # unless re-armed in between (no duplicate spam).
-        cycles = [e.cycle for e in query.events]
+        cycles = [e.cycle for e in query.firings]
         assert len(cycles) == len(set(cycles))
 
 
