@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.system.devices import Device
 from repro.system.interrupt_controller import IRQ_DISK, InterruptController
-from repro.system.memory import PhysicalMemory
+from repro.system.memory import PhysicalMemory, zeroed_store
 
 PORT_CMD = 0x30  # OUT: 1 = read sector, 2 = write sector
 PORT_SECTOR = 0x31
@@ -50,23 +50,38 @@ class Disk(Device):
         # latency instead of the fixed delay.
         self.timing_model = timing_model
         self._time = 0
-        self.data = bytearray(num_sectors * SECTOR_SIZE)
-        if image:
-            self.data[: len(image)] = image
+        self.num_sectors = num_sectors
+        image = bytes(image or b"")
+        if len(image) > num_sectors * SECTOR_SIZE:
+            raise ValueError(
+                "disk image of %d bytes exceeds %d sectors of %d bytes"
+                % (len(image), num_sectors, SECTOR_SIZE)
+            )
+        self.data = zeroed_store(num_sectors * SECTOR_SIZE)
+        self.data[: len(image)] = image
+        # Every byte at or past this offset has always been zero.  It
+        # only grows (a rollback leaves it), so snapshots copy and
+        # restores clear only the bytes below it.
+        self._extent = len(image)
         self.sector = 0
         self.dma_addr = 0
         self.status = STATUS_IDLE
         self._pending_cmd = 0
         self._countdown = 0
         self.commands = 0
+        # Commands completed as no-ops: a sector past the end, or a DMA
+        # range outside physical memory.
+        self.bad_commands = 0
         # Identifies the current sector data.  Values come from a
         # never-reused allocator (each CMD_WRITE completion takes a fresh
         # one, and rollback does not rewind the allocator), so equal
         # generations mean identical bytes: a snapshot reuses the cached
-        # copy and a restore to the live generation copies nothing.
+        # copy and a restore to the live generation copies nothing.  A
+        # snapshot holds the bytes below ``_extent``, so generation 0 is
+        # the image itself (empty: an all-zero disk), never a copy.
         self.data_generation = 0
         self._data_gen_next = 1
-        self._snap_cache = (0, bytes(self.data))
+        self._snap_cache = (0, image)
 
     def ports(self):
         return (PORT_CMD, PORT_SECTOR, PORT_ADDR, PORT_STATUS)
@@ -122,15 +137,26 @@ class Disk(Device):
         return max(1, self._countdown)
 
     def _complete(self) -> None:
+        # Every command completes with STATUS_DONE and the IRQ so a
+        # driver never hangs.  One naming a sector past the end or a DMA
+        # range outside memory moves no bytes and counts as bad; it must
+        # not raise, since kernel-mode code can issue it.
         offset = self.sector * SECTOR_SIZE
-        if self._pending_cmd == CMD_READ:
-            self._memory.load_blob(
-                self.dma_addr, bytes(self.data[offset : offset + SECTOR_SIZE])
+        memory = self._memory
+        if self._pending_cmd in (CMD_READ, CMD_WRITE) and not (
+            0 <= self.sector < self.num_sectors
+            and 0 <= self.dma_addr <= memory.size - SECTOR_SIZE
+        ):
+            self.bad_commands += 1
+        elif self._pending_cmd == CMD_READ:
+            memory.load_blob(
+                self.dma_addr, self.data[offset : offset + SECTOR_SIZE]
             )
         elif self._pending_cmd == CMD_WRITE:
-            self.data[offset : offset + SECTOR_SIZE] = self._memory.read_blob(
+            self.data[offset : offset + SECTOR_SIZE] = memory.read_blob(
                 self.dma_addr, SECTOR_SIZE
             )
+            self._extent = max(self._extent, offset + SECTOR_SIZE)
             self.data_generation = self._data_gen_next
             self._data_gen_next += 1
         self.status = STATUS_DONE
@@ -139,7 +165,7 @@ class Disk(Device):
     def snapshot(self):
         generation, blob = self._snap_cache
         if generation != self.data_generation:
-            blob = bytes(self.data)
+            blob = self.data[: self._extent]
             self._snap_cache = (self.data_generation, blob)
         mech = (
             self.timing_model.snapshot() if self.timing_model is not None
@@ -154,16 +180,19 @@ class Disk(Device):
             self._pending_cmd,
             self._countdown,
             self.commands,
+            self.bad_commands,
             self._time,
             mech,
         )
 
     def restore(self, state) -> None:
         (generation, data, self.sector, self.dma_addr, self.status,
-         self._pending_cmd, self._countdown, self.commands, self._time,
-         mech) = state
+         self._pending_cmd, self._countdown, self.commands,
+         self.bad_commands, self._time, mech) = state
         if generation != self.data_generation:
-            self.data = bytearray(data)
+            store = self.data
+            store[: len(data)] = data
+            store[len(data) : self._extent] = bytes(self._extent - len(data))
             self.data_generation = generation
             self._snap_cache = (generation, data)
         if self.timing_model is not None and mech is not None:

@@ -3,11 +3,29 @@
 A flat little-endian byte array with word/halfword/byte accessors.  The
 functional model layers write-logging on top of this for checkpoint
 rollback; the memory itself is deliberately dumb.
+
+The bytes live in a private anonymous mapping (:func:`zeroed_store`):
+the kernel zero-fills each page on first touch, so a process pays
+resident memory only for the pages the target writes, not for the
+whole ``size``.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Tuple
+
+
+def zeroed_store(size: int) -> mmap.mmap:
+    """A writable, all-zero byte store of *size* bytes whose pages
+    become resident only when touched.
+
+    ``MAP_PRIVATE`` keeps the bytes to this process, as a ``bytearray``
+    would: with Python's default ``MAP_SHARED`` a forked child's writes
+    would show up in the parent.  Slice assignment must keep the
+    length (a wrong-length slice raises ``IndexError``).
+    """
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
 
 class MemoryError_(Exception):
@@ -19,7 +37,7 @@ class PhysicalMemory:
 
     def __init__(self, size: int = 16 * 1024 * 1024):
         self.size = size
-        self._data = bytearray(size)
+        self._data = zeroed_store(size)
 
     # -- loads ----------------------------------------------------------
 
@@ -68,7 +86,7 @@ class PhysicalMemory:
     def read_blob(self, addr: int, length: int) -> bytes:
         if not 0 <= addr <= self.size - length:
             raise MemoryError_("blob read out of range: %#x" % addr)
-        return bytes(self._data[addr : addr + length])
+        return self._data[addr : addr + length]
 
     def view(self):
         """Raw memoryview; the fetch/decode path uses this for speed."""

@@ -1,5 +1,8 @@
 """Memory, MMU/TLB, bus and device tests."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,7 +28,7 @@ from repro.system.interrupt_controller import (
     PORT_PENDING,
     InterruptController,
 )
-from repro.system.memory import MemoryError_, PhysicalMemory
+from repro.system.memory import MemoryError_, PhysicalMemory, zeroed_store
 from repro.system.mmu import (
     PAGE_SIZE,
     PTE_VALID,
@@ -47,6 +50,18 @@ class TestPhysicalMemory:
         mem.write16(200, 0x1234)
         assert mem.read16(200) == 0x1234
 
+    def test_roundtrip_at_the_last_bytes_and_across_a_page(self):
+        size = 3 * 4096
+        mem = PhysicalMemory(size)
+        assert mem.read32(size - 4) == 0 and mem.read8(size // 2) == 0
+        mem.write8(size - 1, 0x1AB)
+        mem.write16(size - 4, 0x1_BEEF)
+        mem.write32(4094, 0xCAFEF00D)
+        assert mem.read8(size - 1) == 0xAB
+        assert mem.read16(size - 4) == 0xBEEF
+        assert mem.read32(4094) == 0xCAFEF00D
+        assert mem.read16(4094) == 0xF00D and mem.read8(4097) == 0xCA
+
     def test_little_endian(self):
         mem = PhysicalMemory(64)
         mem.write32(0, 0x11223344)
@@ -61,11 +76,36 @@ class TestPhysicalMemory:
             mem.write8(16, 1)
         with pytest.raises(MemoryError_):
             mem.load_blob(10, b"1234567")
+        for read, write, width in ((mem.read8, mem.write8, 1),
+                                   (mem.read16, mem.write16, 2),
+                                   (mem.read32, mem.write32, 4)):
+            for addr in (-1, 16 - width + 1):
+                with pytest.raises(MemoryError_):
+                    read(addr)
+                with pytest.raises(MemoryError_):
+                    write(addr, 0)
+        with pytest.raises(MemoryError_):
+            mem.read_blob(14, 3)
+        with pytest.raises(MemoryError_):
+            mem.load_blob(-1, b"x")
 
     def test_blob_roundtrip(self):
         mem = PhysicalMemory(64)
         mem.load_blob(8, b"hello")
         assert mem.read_blob(8, 5) == b"hello"
+        blob = mem.read_blob(6, 8)
+        assert type(blob) is bytes and blob == b"\0\0hello\0"
+        mem.load_blob(64, b"")  # an empty blob at the end is in range
+        assert mem.read_blob(64, 0) == b""
+
+    def test_view_shares_the_bytes(self):
+        mem = PhysicalMemory(64)
+        view = mem.view()
+        mem.write32(0, 0x04030201)
+        assert view[0] == 1 and view[3] == 4
+        assert view[0:4].tobytes() == mem.read_blob(0, 4)
+        view[8] = 0x7F
+        assert mem.read8(8) == 0x7F
 
     def test_undo(self):
         mem = PhysicalMemory(64)
@@ -74,11 +114,65 @@ class TestPhysicalMemory:
         mem.write32(0, 2)
         mem.apply_undo([(0, old)])
         assert mem.read32(0) == 1
+        log = []
+        for value in (3, 4, 5):
+            log.append((8, mem.read32(8)))
+            mem.write32(8, value)
+        log.append((60, mem.read32(60)))
+        mem.write32(60, 0xFFFFFFFF)
+        mem.apply_undo(reversed(log))  # newest first: 8 ends at its oldest
+        assert mem.read_blob(4, 60) == bytes(60)
 
     def test_value_masking(self):
         mem = PhysicalMemory(16)
         mem.write32(0, 0x1_FFFF_FFFF)
         assert mem.read32(0) == 0xFFFFFFFF
+
+    def test_wrong_length_slice_assignment_raises(self):
+        store = zeroed_store(16)
+        with pytest.raises(IndexError):
+            store[0:4] = b"12345"
+        with pytest.raises(IndexError):
+            store[12:] = b"123"
+        assert len(store) == 16 and store[:] == bytes(16)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_in_the_child(self):
+        mem = PhysicalMemory(8192)
+        mem.write32(0, 0x11111111)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                mem.write32(0, 0x22222222)
+                mem.write32(4096, 0x33333333)
+                code = 0 if mem.read32(0) == 0x22222222 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert mem.read32(0) == 0x11111111
+        assert mem.read32(4096) == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/statm")
+    def test_building_a_simulator_leaves_untouched_memory_unresident(self):
+        from repro.fast import FastSimulator
+        from repro.kernel import UserProgram
+
+        program = UserProgram("idle", "main:\n    MOVI R0, 0\n    SYSCALL\n",
+                              entry="main")
+
+        def resident_bytes():
+            with open("/proc/self/statm") as statm:
+                return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        warm = FastSimulator.from_programs([program])  # imports, memos
+        before = resident_bytes()
+        sim = FastSimulator.from_programs([program])
+        grown = resident_bytes() - before
+        assert sim.fm.memory.size == 16 * 1024 * 1024 and warm is not sim
+        assert grown < 8 * 1024 * 1024
 
 
 class TestSoftwareTLB:
@@ -295,12 +389,15 @@ class TestDisk:
         disk.tick(6)
         assert disk.status == STATUS_DONE
 
+    def _command(self, disk, cmd, sector, addr):
+        disk.write_port(PORT_SECTOR, sector)
+        disk.write_port(PORT_ADDR, addr)
+        disk.write_port(PORT_CMD, cmd)
+        disk.tick(5)
+
     def _write(self, mem, disk, fill):
         mem.load_blob(0x200, fill * SECTOR_SIZE)
-        disk.write_port(PORT_SECTOR, 0)
-        disk.write_port(PORT_ADDR, 0x200)
-        disk.write_port(PORT_CMD, CMD_WRITE)
-        disk.tick(5)
+        self._command(disk, CMD_WRITE, 0, 0x200)
         assert disk.read_port(DISK_STATUS) == STATUS_DONE
 
     def test_rollback_across_write_restores_pre_write_bytes(self):
@@ -326,6 +423,70 @@ class TestDisk:
         assert disk.data[:SECTOR_SIZE] == b"A" * SECTOR_SIZE
         disk.restore(snap0)
         assert disk.data[:SECTOR_SIZE] == b"X" * SECTOR_SIZE
+
+    def test_write_past_last_sector_is_a_counted_noop(self):
+        mem, pic, disk = self._disk()
+        before = disk.data[:]
+        self._command(disk, CMD_WRITE, 4, 0x200)
+        assert len(disk.data) == 4 * SECTOR_SIZE and disk.data[:] == before
+        assert disk.bad_commands == 1 and disk.data_generation == 0
+        assert disk.read_port(DISK_STATUS) == STATUS_DONE and pic.output
+
+    def test_read_past_last_sector_is_a_counted_noop(self):
+        mem, pic, disk = self._disk()
+        mem.load_blob(0x100, b"M" * SECTOR_SIZE)
+        self._command(disk, CMD_READ, 1 << 20, 0x100)
+        assert mem.read_blob(0x100, SECTOR_SIZE) == b"M" * SECTOR_SIZE
+        assert disk.bad_commands == 1
+        assert disk.read_port(DISK_STATUS) == STATUS_DONE and pic.output
+
+    def test_dma_past_memory_end_is_a_counted_noop(self):
+        mem, pic, disk = self._disk()
+        self._command(disk, CMD_READ, 0, mem.size - 4)
+        assert mem.read32(mem.size - 4) == 0
+        self._command(disk, CMD_WRITE, 2, mem.size - 4)
+        assert disk.data[2 * SECTOR_SIZE : 3 * SECTOR_SIZE] == bytes(SECTOR_SIZE)
+        assert disk.bad_commands == 2 and disk.commands == 2
+        assert disk.read_port(DISK_STATUS) == STATUS_DONE and pic.output
+
+    def test_bad_command_through_the_bus_does_not_raise(self):
+        mem, bus, pic, timer, console, disk = build_standard_system()
+        bus.write(PORT_SECTOR, 0)
+        bus.write(PORT_ADDR, mem.size - 4)
+        bus.write(PORT_CMD, CMD_READ)
+        bus.tick(disk.latency)
+        assert disk.bad_commands == 1
+        assert bus.read(DISK_STATUS) == STATUS_DONE
+
+    def test_bad_command_count_rolls_back(self):
+        mem, pic, disk = self._disk()
+        snap = disk.snapshot()
+        self._command(disk, CMD_READ, 9, 0x100)
+        assert disk.bad_commands == 1
+        disk.restore(snap)
+        assert disk.bad_commands == 0
+
+    def test_oversized_image_is_rejected(self):
+        mem = PhysicalMemory(8192)
+        with pytest.raises(ValueError):
+            Disk(InterruptController(), mem, num_sectors=4,
+                 image=bytes(4 * SECTOR_SIZE + 1))
+        full = Disk(InterruptController(), mem, num_sectors=4,
+                    image=b"F" * (4 * SECTOR_SIZE))
+        assert len(full.data) == 4 * SECTOR_SIZE
+
+    def test_generation_zero_snapshot_aliases_the_image(self):
+        image = b"X" * SECTOR_SIZE
+        mem = PhysicalMemory(8192)
+        disk = Disk(InterruptController(), mem, num_sectors=4, image=image)
+        assert disk.snapshot()[1] is image
+        blank = Disk(InterruptController(), mem, num_sectors=4)
+        snap = blank.snapshot()
+        assert snap[1] == b""
+        mem.load_blob(0x200, b"W" * SECTOR_SIZE)
+        self._command(blank, CMD_WRITE, 3, 0x200)
+        blank.restore(snap)
+        assert blank.data[:] == bytes(4 * SECTOR_SIZE)
 
     def test_restore_to_live_generation_copies_nothing(self):
         mem, pic, disk = self._disk()
