@@ -59,10 +59,6 @@ class Disk(Device):
             )
         self.data = zeroed_store(num_sectors * SECTOR_SIZE)
         self.data[: len(image)] = image
-        # Every byte at or past this offset has always been zero.  It
-        # only grows (a rollback leaves it), so snapshots copy and
-        # restores clear only the bytes below it.
-        self._extent = len(image)
         self.sector = 0
         self.dma_addr = 0
         self.status = STATUS_IDLE
@@ -76,9 +72,10 @@ class Disk(Device):
         # never-reused allocator (each CMD_WRITE completion takes a fresh
         # one, and rollback does not rewind the allocator), so equal
         # generations mean identical bytes: a snapshot reuses the cached
-        # copy and a restore to the live generation copies nothing.  A
-        # snapshot holds the bytes below ``_extent``, so generation 0 is
-        # the image itself (empty: an all-zero disk), never a copy.
+        # copy and a restore to the live generation copies nothing.
+        # Generation 0 is the image itself, never a copy: the disk starts
+        # as the image followed by zeros, and ``restore`` zero-fills past
+        # a snapshot's bytes, so an empty image is an all-zero disk.
         self.data_generation = 0
         self._data_gen_next = 1
         self._snap_cache = (0, image)
@@ -156,7 +153,6 @@ class Disk(Device):
             self.data[offset : offset + SECTOR_SIZE] = memory.read_blob(
                 self.dma_addr, SECTOR_SIZE
             )
-            self._extent = max(self._extent, offset + SECTOR_SIZE)
             self.data_generation = self._data_gen_next
             self._data_gen_next += 1
         self.status = STATUS_DONE
@@ -165,7 +161,7 @@ class Disk(Device):
     def snapshot(self):
         generation, blob = self._snap_cache
         if generation != self.data_generation:
-            blob = self.data[: self._extent]
+            blob = self.data[:]
             self._snap_cache = (self.data_generation, blob)
         mech = (
             self.timing_model.snapshot() if self.timing_model is not None
@@ -192,7 +188,7 @@ class Disk(Device):
         if generation != self.data_generation:
             store = self.data
             store[: len(data)] = data
-            store[len(data) : self._extent] = bytes(self._extent - len(data))
+            store[len(data) :] = bytes(len(store) - len(data))
             self.data_generation = generation
             self._snap_cache = (generation, data)
         if self.timing_model is not None and mech is not None:
