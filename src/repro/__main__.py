@@ -51,8 +51,6 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
                "diagnosis", "repro.observability.flight.cli:report_main"),
     "fuzz": ("FastFuzz differential conformance fuzzing (FM/TM oracle "
              "matrix)", "repro.fuzz.cli:main"),
-    "shardcheck": ("FastPart shard-safety analysis and PartitionPlan "
-                   "emission", "repro.analysis.shardcheck:main"),
     "debug": ("FastWatch time-travel debug capsules (capture / list / "
               "show / diff / flame)",
               "repro.observability.flight.debug:debug_main"),

@@ -5,48 +5,33 @@ malformed hardware -- dangling FIFOs, combinational loops -- before
 synthesis.  This package is the Python equivalent for our
 Module/Connector timing models, plus checks Bluespec could not give
 the paper: a microcode/ISA def-use cross-check (hardening the Table 1
-coverage story) and AST lints for nondeterminism hazards and
-shard-safety in modelled-time code.
+coverage story) and AST lints for nondeterminism hazards, statistics
+and invariant registration in modelled-time code.
 
 Five passes, one diagnostic model:
 
 * :func:`lint_timing_graph` -- structural rules over the extracted
-  dataflow graph (:mod:`repro.analysis.graph`), rules ``TG001-TG005``;
+  dataflow graph (:mod:`repro.analysis.graph`), rules ``TG001-TG006``;
 * :func:`lint_microcode` -- microcode table vs. ISA opcode table,
   rules ``MC001-MC005``;
 * :func:`lint_determinism` -- AST scan of simulator sources, rules
   ``DT001-DT004``;
 * :func:`lint_stat_registry` / stat-source lint -- statistics fabric,
-  rules ``ST001-ST003``;
-* :func:`lint_shards` -- FastPart effect analysis and partition-plan
-  validation, rules ``SH001-SH006`` (plus ``IG001`` for unused
-  ``# fastlint: ignore`` escapes when every AST pass runs).
+  rules ``ST001-ST004``;
+* :mod:`repro.analysis.watch_rules` -- invariant fabric, rules
+  ``IV001-IV003`` (plus ``IG001`` for unused ``# fastlint: ignore``
+  escapes when every AST pass runs).
 
-``python -m repro lint`` runs all five against the default targets;
-``python -m repro shardcheck`` emits the PartitionPlan artifact.  The
-extracted :class:`~repro.analysis.graph.TimingGraph` plus the
-per-module effect footprints (:func:`analyze_tree`) are the substrate
-for parallel/sharded ticking: :func:`plan_partition` says which modules
-may be evaluated independently and on which worker.
+``python -m repro lint`` runs all five against the default targets.
+The extracted :class:`~repro.analysis.graph.TimingGraph` is also the
+substrate of the compiled tick engine's static schedule
+(:mod:`repro.timing.schedule`).
 """
 
 from repro.analysis.determinism import lint_determinism, lint_source
 from repro.analysis.diagnostics import Diagnostic, Report, Severity
-from repro.analysis.effects import (
-    TreeEffects,
-    UnitEffects,
-    analyze_tree,
-    conflicts_between,
-)
 from repro.analysis.graph import Edge, TimingGraph, extract_graph
 from repro.analysis.microcode_rules import lint_microcode
-from repro.analysis.partition import (
-    load_cost_model,
-    plan_partition,
-    render_plan,
-    validate_plan,
-)
-from repro.analysis.shard_rules import check_shards, lint_shards
 from repro.analysis.stat_rules import lint_stat_registry
 from repro.analysis.suppress import SuppressionTracker
 from repro.analysis.timing_rules import lint_timing_graph
@@ -58,20 +43,10 @@ __all__ = [
     "Severity",
     "SuppressionTracker",
     "TimingGraph",
-    "TreeEffects",
-    "UnitEffects",
-    "analyze_tree",
-    "check_shards",
-    "conflicts_between",
     "extract_graph",
     "lint_determinism",
     "lint_microcode",
-    "lint_shards",
     "lint_source",
     "lint_stat_registry",
     "lint_timing_graph",
-    "load_cost_model",
-    "plan_partition",
-    "render_plan",
-    "validate_plan",
 ]

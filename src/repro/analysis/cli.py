@@ -1,6 +1,6 @@
 """The ``python -m repro lint`` entry point.
 
-Runs the six FastLint passes against the default targets:
+Runs the five FastLint passes against the default targets:
 
 1. timing-graph lint over the default 1/2/4/8-issue cores (Table 2
    configurations) from :mod:`repro.timing.core`;
@@ -8,9 +8,7 @@ Runs the six FastLint passes against the default targets:
 3. determinism lint over the ``repro`` package sources;
 4. statistics-fabric lint (ST001-ST003): the same default cores'
    stat registries plus an AST pass over the sources;
-5. shard-safety lint (SH001-SH006): FastPart effect analysis and
-   partition-plan validation over the default 2-issue core;
-6. invariant-fabric lint (IV001-IV003): FastWatch registration
+5. invariant-fabric lint (IV001-IV003): FastWatch registration
    placement, check-closure purity and idle-hint coverage over the
    sources.
 
@@ -23,8 +21,7 @@ cannot know an escape is dead.
 Exit code 0 when no diagnostic reaches WARNING severity, 1 otherwise.
 INFO-level notes (the paper's declared FP microcode gap) are printed
 with ``--verbose`` but never fail the lint.  ``--json`` prints the
-shared machine-readable report document instead (stable sort order;
-the same shape ``shardcheck --json`` embeds next to its plan).
+shared machine-readable report document instead (stable sort order).
 """
 
 from __future__ import annotations
@@ -40,12 +37,11 @@ from repro.analysis.suppress import SuppressionTracker
 from repro.analysis.timing_rules import lint_timing_graph
 from repro.analysis.watch_rules import lint_watch_sources
 
-PASS_NAMES = ("graph", "microcode", "determinism", "stats", "shards",
-              "watch")
+PASS_NAMES = ("graph", "microcode", "determinism", "stats", "watch")
 
 # Passes that walk source files and honor fastlint ignore escapes.
 # Unused-escape reporting (IG001) requires all of them to have run.
-AST_PASSES = frozenset({"determinism", "stats", "shards", "watch"})
+AST_PASSES = frozenset({"determinism", "stats", "watch"})
 
 
 def _positive_int(text: str) -> int:
@@ -96,10 +92,6 @@ def run_lint(
                     diag.hint,
                 )
         report.extend(lint_stat_sources(paths, tracker))
-    if "shards" in passes:
-        from repro.analysis.shard_rules import lint_shards
-
-        report.extend(lint_shards(tracker=tracker))
     if "watch" in passes:
         report.extend(lint_watch_sources(paths, tracker))
     if AST_PASSES.issubset(passes) and not paths:
@@ -120,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         dest="passes",
         action="append",
         choices=PASS_NAMES,
-        help="run only this pass (repeatable; default: all six)",
+        help="run only this pass (repeatable; default: all five)",
     )
     parser.add_argument(
         "--json",

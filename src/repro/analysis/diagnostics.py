@@ -49,8 +49,8 @@ class Diagnostic:
         return text
 
     def to_dict(self) -> dict:
-        """Plain-dict form, the shared machine-readable shape used by
-        ``lint --json``, ``shardcheck --json`` and PartitionPlan."""
+        """Plain-dict form, the machine-readable shape ``lint --json``
+        prints."""
         return {
             "rule": self.rule,
             "severity": str(self.severity),
@@ -120,7 +120,7 @@ class Report:
     def to_dicts(self, min_severity: Severity = Severity.INFO) -> List[dict]:
         """Diagnostics as plain dicts in stable sort order (by rule,
         location, message, hint) -- the byte-stable report format CI
-        and shardcheck share."""
+        consumes."""
         selected = [
             d for d in self.diagnostics if d.severity >= min_severity
         ]
@@ -129,8 +129,7 @@ class Report:
 
     def to_document(self, min_severity: Severity = Severity.INFO) -> dict:
         """The shared report document: sorted diagnostics plus a
-        summary block.  ``lint --json`` prints exactly this;
-        ``shardcheck --json`` embeds it next to the plan."""
+        summary block.  ``lint --json`` prints exactly this."""
         failing = self.failing
         return {
             "diagnostics": self.to_dicts(min_severity),

@@ -10,10 +10,9 @@ same graph explicitly.  A :class:`TimingGraph` combines
   module) declared via :meth:`repro.timing.connector.Connector.
   bind_endpoints`.
 
-Beyond linting, the graph is the substrate for scheduling work: the
-connected components and zero-latency condensation computed here are
-exactly what a parallel/sharded ticker needs to know which modules may
-be evaluated independently within one target cycle.
+Beyond linting, the graph is the substrate of the compiled tick
+engine (:mod:`repro.timing.schedule`): its consumer-first evaluation
+order is well defined only when the graph has no zero-latency cycle.
 """
 
 from __future__ import annotations
@@ -151,36 +150,6 @@ class TimingGraph:
             if color.get(id(module), WHITE) == WHITE:
                 visit(module, [])
         return cycles
-
-    def components(self) -> List[List[Module]]:
-        """Weakly-connected components of the dataflow graph.
-
-        Modules in different components never exchange data through a
-        Connector, so a sharded ticker may clock them on separate
-        workers with no intra-cycle synchronization.
-        """
-        neighbors: Dict[int, List[Module]] = {}
-        for edge in self.edges:
-            if not edge.bound:
-                continue
-            neighbors.setdefault(id(edge.producer), []).append(edge.consumer)
-            neighbors.setdefault(id(edge.consumer), []).append(edge.producer)
-        seen: Dict[int, bool] = {}
-        components: List[List[Module]] = []
-        for module in self.endpoint_modules():
-            if id(module) in seen:
-                continue
-            component: List[Module] = []
-            frontier = [module]
-            while frontier:
-                current = frontier.pop()
-                if id(current) in seen:
-                    continue
-                seen[id(current)] = True
-                component.append(current)
-                frontier.extend(neighbors.get(id(current), ()))
-            components.append(component)
-        return components
 
     def describe_cycle(self, cycle: List[Edge]) -> str:
         """Human-readable ``a -[conn]-> b -[conn]-> a`` rendering."""

@@ -3,19 +3,19 @@
 A finding is suppressed by a ``# fastlint: ignore`` comment on the
 offending line.  Three forms are honored, uniformly, by every pass
 that reports ``file:line`` locations (determinism DT*, statistics
-ST*, shard-safety SH*):
+ST*, invariant fabric IV*):
 
 * ``# fastlint: ignore`` -- suppress every rule on this line;
 * ``# fastlint: ignore[DT002]`` -- suppress exactly one rule;
-* ``# fastlint: ignore[DT002,SH005]`` -- suppress a rule list.
+* ``# fastlint: ignore[DT002,ST003]`` -- suppress a rule list.
 
 Suppression is an audited exception, so an ignore that suppresses
 nothing is itself a finding: the CLI collects every comment seen and
 every suppression actually exercised across *all* passes (a comment
 used by any one pass is used), and reports the leftovers as rule
-``IG001``.  Structural rules (TG*, MC*, ST001, SH001-SH003/SH006)
-locate findings by module path or opcode, not by source line, and are
-deliberately not suppressible -- fix the structure instead.
+``IG001``.  Structural rules (TG*, MC*, ST001) locate findings by
+module path or opcode, not by source line, and are deliberately not
+suppressible -- fix the structure instead.
 
 :class:`SourceChecker` is the other half of the shared machinery: the
 per-file plumbing (parse, path walk, labels, suppression routing,

@@ -19,8 +19,7 @@ IV002    error      invariant ``check`` closure with side effects -- an
                     lambda body or the referenced same-class method.  The
                     monitor runs checks on every executed cycle of both
                     engines; an impure check perturbs the run and breaks
-                    the determinism contract (the effect families FastPart
-                    charges as writes)
+                    the determinism contract
 IV003    warning    always-on invariant declared without an idle hint:
                     the monitor must then register its cycle listener
                     hintless, which pins the compiled engine to

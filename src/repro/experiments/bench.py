@@ -358,13 +358,9 @@ def run_bench(smoke: bool = False, reps: Optional[int] = None) -> Dict:
         stats: Dict[str, object] = {}
         best: Dict[str, float] = {}
         for _rep in range(reps):
-            for engine in ("legacy", "compiled", "sharded"):
-                # The baseline row is the engine this PR sequence
-                # replaced: legacy ticks, no superblock replay.  The
-                # sharded row is informational (no ratchet gate yet):
-                # the default-core plan has one populated shard, so it
-                # prices the sharded engine's compile + dispatch
-                # overhead, not parallel speedup.
+            for engine in ("legacy", "compiled"):
+                # The baseline row is the engine the compiled stack
+                # replaced: legacy ticks, no superblock replay.
                 timing, dt = _time_run(
                     workload, engine, superblocks=(engine != "legacy")
                 )
@@ -391,13 +387,6 @@ def run_bench(smoke: bool = False, reps: Optional[int] = None) -> Dict:
             "compiled": {
                 "seconds": round(best["compiled"], 4),
                 "cycles_per_sec": round(cycles / best["compiled"], 1),
-            },
-            # Informational (no gate): the FastShard engine on the
-            # default two-shard auto plan, pinned bit-identical here.
-            "sharded": {
-                "seconds": round(best["sharded"], 4),
-                "cycles_per_sec": round(cycles / best["sharded"], 1),
-                "cycles_match": stats["sharded"] == stats["compiled"],
             },
             "speedup": round(speedup, 3),
         }
@@ -502,14 +491,13 @@ def render_overhead(report: Dict) -> str:
 def render(report: Dict) -> str:
     lines = [
         "hot-path bench (compiled+FastBlock vs pre-FastBlock legacy)",
-        "%-16s %5s %10s %10s %9s %9s %9s %8s %6s"
+        "%-16s %5s %10s %10s %9s %9s %8s %6s"
         % ("workload", "class", "cycles", "idle", "legacy", "compiled",
-           "sharded", "speedup", "match"),
+           "speedup", "match"),
     ]
     for name, row in report["workloads"].items():
-        sharded = row.get("sharded")
         lines.append(
-            "%-16s %5s %10d %10d %8.2fs %8.2fs %9s %7.2fx %6s"
+            "%-16s %5s %10d %10d %8.2fs %8.2fs %7.2fx %6s"
             % (
                 name,
                 "idle" if row["idle_heavy"] else "busy",
@@ -517,11 +505,8 @@ def render(report: Dict) -> str:
                 row["idle_cycles"],
                 row["legacy"]["seconds"],
                 row["compiled"]["seconds"],
-                "%8.2fs" % sharded["seconds"] if sharded else "-",
                 row["speedup"],
-                "ok" if row["cycles_match"]
-                and (sharded is None or sharded["cycles_match"])
-                else "FAIL",
+                "ok" if row["cycles_match"] else "FAIL",
             )
         )
     lines.append(

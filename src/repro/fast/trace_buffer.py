@@ -57,20 +57,6 @@ class ProtocolStats:
 class TraceBufferFeed(InstructionFeed, Module):
     """Feed the timing model through a bounded trace buffer."""
 
-    # Boundary-buffer seams for the sharded engine (FastPart/FastShard):
-    # the protocol counters and the tracer observe feed traffic but are
-    # never consulted for feed decisions, so the effect analyzer records
-    # accesses without treating them as cross-shard races.  The buffer
-    # itself is *not* a seam -- both pipeline halves consume it, which
-    # is exactly the footprint conflict that keeps frontend and backend
-    # in one atomic group (the feed boundary can never be a cut edge).
-    shard_seams = {
-        "protocol": "round-trip/runahead accounting; observability-only",
-        "tracer": "FastScope seam-event tracer; write-only from the feed",
-        "_span_hist": "refill span histogram; observability-only",
-        "_replay_hist": "rollback replay histogram; observability-only",
-    }
-
     def __init__(self, fm: FunctionalModel, depth: int = 512,
                  lookahead: int = 32):
         Module.__init__(self, "trace_buffer")

@@ -1,4 +1,4 @@
-"""The differential oracle: one program, ten simulators, one answer.
+"""The differential oracle: one program, nine simulators, one answer.
 
 For each generated program the harness runs the full oracle matrix
 
@@ -8,15 +8,12 @@ For each generated program the harness runs the full oracle matrix
 plus a ninth cell -- the compiled/trace-buffer coupling with the FM's
 FastBlock superblock cache forced *off* -- so superblock capture and
 replay under speculation and rollback is differentially pinned against
-the interpreted path, plus a tenth cell -- the *sharded* engine
-(two-shard default plan) driving the trace-buffer coupling -- so the
-bulk-synchronous tick engine is differentially pinned bit-identical
-against the compiled schedule on every generated program, and asserts
-that within each interrupt mode all coupled cells report
-bit-identical ``TimingStats``, console output and final architectural
-state -- the FAST invariant (paper section 2/3): speculation + rollback
-must be observationally equivalent to in-order execution, and the
-compiled tick schedule must be cycle-for-cycle the legacy dispatch.
+the interpreted path, and asserts that within each interrupt mode all
+coupled cells report bit-identical ``TimingStats``, console output and
+final architectural state -- the FAST invariant (paper section 2/3):
+speculation + rollback must be observationally equivalent to in-order
+execution, and the compiled tick schedule must be cycle-for-cycle the
+legacy dispatch.
 Instruction-mode cells are additionally checked against a *golden* run
 of the functional model alone (no timing model at all): coupling a
 timing model must not change architecture.
@@ -71,11 +68,10 @@ _DIGEST_WINDOWS = (
 class OracleCell:
     """One point of the oracle matrix."""
 
-    engine: str  # "compiled" | "legacy" | "sharded"
+    engine: str  # "compiled" | "legacy"
     feed: str  # "lockstep" | "tb"
     irq: str  # "instr" | "cycle"
     blocks: str = "on"  # "on" | "off": FM superblock capture/replay
-    shards: int = 0  # shard count for engine="sharded" (0 = n/a)
 
     @property
     def label(self) -> str:
@@ -95,12 +91,6 @@ ORACLE_CELLS: Tuple[OracleCell, ...] = tuple(
     # FastBlock replay bug diverges it from the (superblocks-on)
     # reference without perturbing the eight canonical cells.
     OracleCell("compiled", "tb", "instr", blocks="off"),
-    # The tenth cell: the FastShard bulk-synchronous engine on a
-    # two-shard auto plan, driving the most speculative coupling.  The
-    # reference cell it is diffed against is itself bit-identical to
-    # compiled/tb/instr, so any sharded-engine divergence (boundary
-    # batching, span negotiation, plan interpretation) surfaces here.
-    OracleCell("sharded", "tb", "instr", shards=2),
 )
 
 # Per interrupt mode, the cell every other cell is diffed against.  The
@@ -270,8 +260,6 @@ def run_cell(source: str, base: int, cell: OracleCell,
     feed = feed_cls(fm)
     timing_config = TimingConfig(engine=cell.engine,
                                  predictor=config.predictor)
-    if cell.engine == "sharded" and cell.shards:
-        timing_config.shards = cell.shards
     tm = TimingModel(feed, microcode=fm.microcode, config=timing_config)
     if cell.irq == "cycle":
         CycleInterruptCoordinator(tm, fm,

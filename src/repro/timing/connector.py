@@ -25,20 +25,6 @@ from repro.timing.module import Module
 class Connector(Module):
     """A latency/throughput-constrained FIFO between two Modules."""
 
-    # Tracing state is an intentional shared-state seam (FastPart):
-    # the trace log and trigger predicate observe traffic but are never
-    # consulted for simulation decisions, so their cross-shard ordering
-    # is benign.
-    shard_seams = {
-        "_trace_log": "observability-only push log; never read on the "
-                      "simulation path",
-        "_trigger": "observability-only trace predicate hook",
-        "_trace_limit": "observability-only trace log bound",
-        "_outbox": "sharded-engine boundary buffer; installed by the "
-                   "coordinator for parallel tick spans only and "
-                   "drained at the span barrier",
-    }
-
     def __init__(
         self,
         name: str,
@@ -74,13 +60,6 @@ class Connector(Module):
         self._trace_log: Optional[list] = None
         self._trace_limit = 0
         self._trigger = None
-        # Sharded-engine boundary buffer (repro.timing.shard).  When a
-        # parallel tick span is active on a cut edge, the coordinator
-        # installs a BoundaryOutbox here: pushes are captured (with
-        # identical accept/reject semantics and counters) and merged
-        # into the queue at the span barrier, so a producer evaluating
-        # on another worker never mutates the shared deque mid-span.
-        self._outbox = None
         # FastWatch credit conservation (registered here, at
         # construction -- FastLint rule IV001): in-flight transactions
         # never exceed the configured capacity, and per-cycle traffic
@@ -155,9 +134,6 @@ class Connector(Module):
     # -- producer side --------------------------------------------------------
 
     def can_push(self) -> bool:
-        outbox = self._outbox
-        if outbox is not None:
-            return outbox.can_push()
         return (
             self._pushed_this_cycle < self.input_throughput
             and len(self._queue) < self.max_transactions
@@ -165,9 +141,6 @@ class Connector(Module):
 
     def push(self, item: Any) -> bool:
         """Push one item; returns False if throughput/capacity exhausted."""
-        outbox = self._outbox
-        if outbox is not None:
-            return outbox.push(item)
         if not self.can_push():
             self.bump("push_stalls")
             return False

@@ -47,20 +47,9 @@ class TimingConfig:
     watchdog_cycles: int = 500_000
     # Tick engine: "compiled" pre-compiles a static schedule from the
     # dataflow graph and batches idle spans (repro.timing.schedule);
-    # "sharded" overlays a PartitionPlan on the compiled schedule and
-    # evaluates shards bulk-synchronously (repro.timing.shard);
-    # "legacy" is the original hand-ordered dynamic dispatch.  All
-    # three produce bit-identical cycle counts and statistics.
+    # "legacy" is the original hand-ordered dynamic dispatch.  Both
+    # produce bit-identical cycle counts and statistics.
     engine: str = "compiled"
-    # Sharded-engine parameters (engine="sharded" only).  shard_plan
-    # is a PartitionPlan document (repro.analysis.partition); None
-    # auto-plans via LPT at engine compile time.  shard_backend is
-    # "thread" or "process" (the latter round-trips every boundary
-    # batch through pickled bytes -- the multi-process transport
-    # contract).
-    shards: int = 2
-    shard_backend: str = "thread"
-    shard_plan: Optional[dict] = None
 
     @classmethod
     def with_issue_width(cls, width: int, **kwargs) -> "TimingConfig":
@@ -225,19 +214,6 @@ def default_cores() -> "List[TimingModel]":
 class TimingModel(Module):
     """The complete target pipeline (Figure 3)."""
 
-    # Listener plumbing is an intentional shared-state seam (FastPart):
-    # commit/cycle listeners and the tracer observe the run but are
-    # never consulted for simulation decisions, so the effect analyzer
-    # records accesses to them without treating them as races.
-    shard_seams = {
-        "_commit_listeners": "observability commit fan-out list; "
-                             "rebinds backend.on_instr_commit",
-        "cycle_listeners": "observability per-cycle hook list",
-        "_cycle_idle_hints": "idle-span hints for the compiled engine",
-        "tracer": "FastScope seam-event tracer; write-only from the "
-                  "engine",
-    }
-
     def __init__(
         self,
         feed: InstructionFeed,
@@ -308,21 +284,12 @@ class TimingModel(Module):
             from repro.timing.schedule import compile_schedule
 
             self._schedule = compile_schedule(self)
-        elif cfg.engine == "sharded":
-            from repro.timing.shard import compile_sharded_schedule
-
-            self._schedule = compile_sharded_schedule(
-                self,
-                plan=cfg.shard_plan,
-                shards=cfg.shards,
-                backend=cfg.shard_backend,
-            )
         elif cfg.engine == "legacy":
             self._schedule = None
         else:
             raise ValueError(
-                "unknown timing engine %r (use 'compiled', 'sharded' "
-                "or 'legacy')" % cfg.engine
+                "unknown timing engine %r (use 'compiled' or 'legacy')"
+                % cfg.engine
             )
 
     # -- listener registration ---------------------------------------------

@@ -203,27 +203,6 @@ class Module:
     :meth:`counter`/:meth:`bump` for statistics.
     """
 
-    # Declared shard seams: attribute/hook name -> rationale.  The
-    # FastPart effect analyzer (repro.analysis.effects) treats every
-    # attribute listed here as an *intentional* shared-state seam --
-    # accesses to it are recorded but excluded from cross-shard race
-    # detection, and stored-callable hooks named here do not trigger
-    # rule SH004.  Subclass declarations merge over the MRO; declare
-    # only state whose cross-shard ordering is genuinely benign (e.g.
-    # observability hooks never consulted for simulation decisions).
-    shard_seams: Dict[str, str] = {}
-
-    @classmethod
-    def declared_shard_seams(cls) -> Dict[str, str]:
-        """The merged ``shard_seams`` declarations of this class and
-        every base, most-derived declaration winning."""
-        merged: Dict[str, str] = {}
-        for klass in reversed(cls.__mro__):
-            declared = klass.__dict__.get("shard_seams")
-            if declared:
-                merged.update(declared)
-        return merged
-
     def __init__(self, name: str):
         self.name = name
         self._children: List["Module"] = []

@@ -46,15 +46,6 @@ UNPIPELINED = frozenset({"div", "fdiv", "fsqrt"})
 
 
 class Backend(Module):
-    # The commit hook is an intentional shared-state seam (FastPart):
-    # TimingModel rebinds it from the commit-listener list, and every
-    # subscriber is observability-side (statistics sampler, host
-    # models) -- commit never reads anything back through it.
-    shard_seams = {
-        "on_instr_commit": "observability fan-out hook rebound by "
-                           "TimingModel._rebind_commit_hook",
-    }
-
     def __init__(
         self,
         frontend: Frontend,

@@ -59,10 +59,9 @@ from repro.timing.pipeline.dynamic import (
     U_SQUASHED,
 )
 
-# frontend.py and backend.py import this module at top level so the
-# FastPart effects analyzer can resolve the factories from their
-# bind_tick bodies; the reverse imports below are deferred into the
-# functions to break the cycle.
+# frontend.py and backend.py import this module at top level, and this
+# module needs names from both of them; those reverse imports are
+# deferred into the functions to break the import cycle.
 
 
 def _uop_meta(uop: Uop):

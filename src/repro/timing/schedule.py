@@ -61,20 +61,6 @@ sample always lands on a fully-evaluated cycle.  Because the wake
 cycle replays the whole per-cycle path on both engines, the set of
 sampled cycles -- and therefore the deterministic section of every
 pulse record -- is engine-independent by construction.
-
-Sharded execution
------------------
-
-:class:`repro.timing.shard.ShardedSchedule` subclasses
-:class:`CompiledSchedule`: it compiles the identical phase-0 +
-consumer-first step order, then overlays a validated PartitionPlan
-(:mod:`repro.analysis.partition`) as per-shard step lists evaluated
-bulk-synchronously between span barriers.  Everything documented above
--- the ordering rule, idle fast-forward, the cycle-listener seam -- is
-shared verbatim by the sharded run loop; only *unit evaluation within
-a busy cycle* differs, and only when span negotiation proves the cycle
-order-independent (otherwise the cycle runs in this class's sequential
-order).
 """
 
 from __future__ import annotations

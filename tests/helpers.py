@@ -24,25 +24,6 @@ from repro.timing.core import TimingModel, TimingStats
 
 # The two coupling feeds of the oracle matrix, by short name.
 FEEDS = {"lockstep": LockStepFeed, "tb": TraceBufferFeed}
-ENGINES = ("legacy", "compiled", "sharded")
-# The shard counts the equivalence suites sweep for engine="sharded".
-SHARD_COUNTS = (2, 3)
-
-
-def engine_config(base_config: "TimingConfig", engine: str,
-                  shards: int = 2, shard_backend: str = "thread",
-                  shard_plan=None) -> "TimingConfig":
-    """A copy of *base_config* re-targeted at another tick engine.
-
-    The sharded engine rides along extra knobs (shard count, backend,
-    an optional explicit plan); the other engines ignore them.
-    """
-    from dataclasses import replace
-
-    if engine == "sharded":
-        return replace(base_config, engine=engine, shards=shards,
-                       shard_backend=shard_backend, shard_plan=shard_plan)
-    return replace(base_config, engine=engine)
 
 
 def run_bare(source: str, max_instructions: int = 100_000,
@@ -107,7 +88,7 @@ def equivalence_fingerprint(stats, console_text, fm) -> dict:
 def run_coupled(image_factory, feed_cls, timing_config, disk_image=None,
                 max_cycles=3_000_000, fm_config=None, memory_size=1 << 22,
                 cycle_irq_interval=None, disk_timing_model=None,
-                engine=None, shards=None, **feed_kwargs) -> CoupledRun:
+                **feed_kwargs) -> CoupledRun:
     """Build the standard machine, couple *feed_cls* to a timing model,
     run to completion.
 
@@ -116,13 +97,7 @@ def run_coupled(image_factory, feed_cls, timing_config, disk_image=None,
     ``None`` keeps the default instruction-driven devices.
     *disk_timing_model* is a zero-arg factory (e.g. the model class):
     the models are stateful (head position), so each run needs its own.
-    *engine* / *shards* re-target *timing_config* at another tick
-    engine without the caller rebuilding the config (the sharded-engine
-    sweep hook: the equivalence suites pass ``engine="sharded"``).
     """
-    if engine is not None:
-        timing_config = engine_config(timing_config, engine,
-                                      shards=shards or 2)
     memory, bus, _i, _t, console, _d = build_standard_system(
         memory_size=memory_size, disk_image=disk_image,
         disk_timing_model=disk_timing_model() if disk_timing_model else None,
@@ -143,20 +118,17 @@ def run_coupled(image_factory, feed_cls, timing_config, disk_image=None,
 def assert_equivalent(image_factory, timing_config, disk_image=None,
                       fm_config=None, max_cycles=3_000_000,
                       disk_timing_model=None, cycle_irq_interval=None,
-                      engine=None, shards=None, **feed_kwargs):
+                      **feed_kwargs):
     """THE FAST invariant: trace-buffer coupling == lock-step reference.
 
     *feed_kwargs* (depth, lookahead, ...) configure the trace-buffer
-    side only; everything else applies to both runs.  *engine* /
-    *shards* re-target both runs at another tick engine (the sharded
-    sweep passes ``engine="sharded", shards=K``).  Returns
+    side only; everything else applies to both runs.  Returns
     ``(fast_fingerprint, fast_fm)`` for further assertions.
     """
     shared = dict(
         disk_image=disk_image, fm_config=fm_config, max_cycles=max_cycles,
         disk_timing_model=disk_timing_model,
         cycle_irq_interval=cycle_irq_interval,
-        engine=engine, shards=shards,
     )
     fast = run_coupled(image_factory, TraceBufferFeed, timing_config,
                        **shared, **feed_kwargs)

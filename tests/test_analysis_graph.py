@@ -1,5 +1,6 @@
 """FastLint pass 1: timing-graph extraction and structural rules."""
 
+import json
 import warnings
 
 import pytest
@@ -46,17 +47,6 @@ def test_default_core_graph_structure():
     assert decode_edge.producer is core.frontend
     assert decode_edge.consumer is core.backend
     assert graph.path_of(core.backend) == "timing_model/backend"
-
-
-def test_components_for_sharding():
-    root, a, b, _ab, _ba = build_chain()
-    c = root.add_child(Module("c"))
-    d = root.add_child(Module("d"))
-    cd = Connector("c2d").bind_endpoints(producer=c, consumer=d)
-    root.add_child(cd)
-    components = extract_graph(root).components()
-    as_names = sorted(sorted(m.name for m in comp) for comp in components)
-    assert as_names == [["a", "b"], ["c", "d"]]
 
 
 # -- TG001: dangling connectors ------------------------------------------
@@ -172,3 +162,23 @@ def test_endpoint_not_in_tree_detected():
     assert len(diags) == 1
     assert diags[0].severity == Severity.ERROR
     assert "orphan" in diags[0].message
+
+
+# -- the shared ``lint --json`` report document ---------------------------
+
+
+def test_lint_json_mode_is_sorted_and_parsable(capsys):
+    from repro.analysis.cli import main as lint_main
+
+    exit_code = lint_main(["--json", "--pass", "graph",
+                           "--pass", "microcode"])
+    out = capsys.readouterr().out
+    document = json.loads(out)
+    assert exit_code == 0
+    diagnostics = document["diagnostics"]
+    # The microcode pass's INFO notes keep the sort check non-vacuous.
+    assert diagnostics
+    keys = [(d["rule"], d["location"], d["message"], d["hint"])
+            for d in diagnostics]
+    assert keys == sorted(keys)
+    assert document["summary"]["infos"] == len(diagnostics)

@@ -152,6 +152,11 @@ class TestCompileStep:
         assert compiled.cycle == legacy.cycle == 7
         assert compiled.idle_cycles == legacy.idle_cycles
 
+    @pytest.mark.parametrize("engine", ["shraded", "sharded"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError, match="'compiled' or 'legacy'"):
+            _null_tm(engine)
+
 
 class TestEngineEquivalence:
     @settings(max_examples=6, deadline=None)

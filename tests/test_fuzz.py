@@ -44,13 +44,13 @@ class TestGenerator:
 
 
 class TestOracleMatrix:
-    def test_matrix_has_ten_cells(self):
+    def test_matrix_has_nine_cells(self):
         # 2 engines x 2 feeds x 2 irq modes, plus the superblocks-off
-        # replay-pinning cell and the 2-shard FastShard cell.
-        assert len(ORACLE_CELLS) == 10
-        assert len({c.label for c in ORACLE_CELLS}) == 10
+        # replay-pinning cell.
+        assert len(ORACLE_CELLS) == 9
+        assert len({c.label for c in ORACLE_CELLS}) == 9
         assert sum(1 for c in ORACLE_CELLS if c.blocks == "off") == 1
-        assert sum(1 for c in ORACLE_CELLS if c.engine == "sharded") == 1
+        assert {c.engine for c in ORACLE_CELLS} == {"legacy", "compiled"}
 
     @pytest.mark.parametrize("seed", [3, 11, 19])
     def test_clean_simulators_agree(self, seed):

@@ -2,12 +2,11 @@
 
 Every ``tests/corpus/repro-*.s`` file is a shrunk program that once
 exposed a divergence (under a real bug or an injected fault).  Each
-replay must now come back clean: all ten matrix cells agree -- the
-eight canonical engine x feed x irq couplings, the superblocks-off
-ninth cell, and the FastShard sharded-engine tenth cell -- and the
-instruction-mode column matches the golden functional-only run.  A
-failure here means a previously-fixed (or deliberately injected)
-divergence has returned for real.
+replay must now come back clean: all nine matrix cells agree -- the
+eight canonical engine x feed x irq couplings and the superblocks-off
+ninth cell -- and the instruction-mode column matches the golden
+functional-only run.  A failure here means a previously-fixed (or
+deliberately injected) divergence has returned for real.
 """
 
 from pathlib import Path
@@ -26,7 +25,7 @@ REPLAY_CONFIG = OracleConfig(max_cycles=600_000, max_instructions=200_000)
 
 # The same matrix with the FastWatch invariant fabric armed in every
 # cell: any firing is a divergence, so replaying the corpus also pins
-# the fabric's false-positive rate at zero across all ten couplings.
+# the fabric's false-positive rate at zero across all nine couplings.
 WATCHED_CONFIG = OracleConfig(max_cycles=600_000, max_instructions=200_000,
                               invariants=True)
 
@@ -35,11 +34,11 @@ def test_corpus_is_seeded():
     assert len(REPROS) >= 5, "the shipped corpus must stay non-trivial"
 
 
-def test_replay_covers_the_ten_cell_matrix():
+def test_replay_covers_the_nine_cell_matrix():
     # run_matrix defaults to ORACLE_CELLS, so every replay below runs
-    # the full matrix -- including the FastShard tenth cell.
-    assert len(ORACLE_CELLS) == 10
-    assert any(cell.engine == "sharded" for cell in ORACLE_CELLS)
+    # the full matrix -- including the superblocks-off ninth cell.
+    assert len(ORACLE_CELLS) == 9
+    assert any(cell.blocks == "off" for cell in ORACLE_CELLS)
 
 
 @pytest.mark.parametrize("repro", REPROS, ids=lambda r: r.name)

@@ -1,6 +1,8 @@
 """FastScope observability tests: fabric, tracer, triggers, profiler,
 sampler idle/elision fix, and the determinism acceptance criteria."""
 
+import json
+
 import pytest
 
 from repro.experiments.bench import _linux_boot
@@ -221,6 +223,26 @@ class TestDeterminism:
     def test_legacy_engine_matches_under_scope(self):
         _, _, compiled = scoped_boot("compiled")
         _, _, legacy = scoped_boot("legacy")
+        assert compiled == legacy
+
+    def test_seam_event_stream_engine_independent(self):
+        # Only the compiled engine batches idle spans, so only it emits
+        # idle_span events, which shift every later seq number.  Every
+        # other seam event must match the legacy engine's stream.
+        def seam_events(engine):
+            _, scope, _ = scoped_boot(engine)
+            assert scope.tracer.dropped == 0
+            records = [json.loads(line)
+                       for line in scope.tracer.to_jsonl().splitlines()]
+            kept = [r for r in records if r["kind"] != "idle_span"]
+            for record in kept:
+                del record["seq"]
+            return kept, len(records) - len(kept)
+
+        compiled, compiled_spans = seam_events("compiled")
+        legacy, legacy_spans = seam_events("legacy")
+        assert compiled_spans > 0 and legacy_spans == 0
+        assert compiled
         assert compiled == legacy
 
     def test_trace_byte_identical_across_runs(self):
