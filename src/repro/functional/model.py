@@ -185,7 +185,8 @@ class FunctionalModel(CPUMixin):
         self._handler_pending = False
         self._intctrl = self._find_intctrl()
         # Timing-model-delivered interrupts, keyed by the commit
-        # boundary (IN) they arrived after; consulted during replay.
+        # boundary (IN) they arrived after; consulted during replay and
+        # trimmed by ``commit`` to the retained checkpoints' span.
         self._forced_irqs: dict = {}
         # Optional FastScope observer (repro.observability.events):
         # notified on checkpoint creation and rollback replay.  Purely
@@ -704,6 +705,14 @@ class FunctionalModel(CPUMixin):
         """The timing model committed everything up to *in_no*: release
         rollback resources older than that point."""
         self.ckpt.release(in_no)
+        forced = self._forced_irqs
+        if forced:
+            # Replay starts at a retained checkpoint, so it never looks
+            # up a delivery older than the oldest one.
+            oldest = self.ckpt.oldest_in
+            if oldest is not None:
+                for key in [k for k in forced if k < oldest]:
+                    del forced[key]
 
     # ------------------------------------------------------------------
     # Timing-model-generated interrupts (section 3.4)

@@ -266,6 +266,7 @@ class Backend(Module):
             elif uop.uop.kind == UOP_STORE:
                 latency = 1  # cache write happens at commit
             uop.state = U_ISSUED
+            uop.deps.clear()  # read only by the readiness check above
             uop.done_cycle = cycle + latency
             uop.fu = (unit, index)
             if uop.uop.op in UNPIPELINED or uop.uop.kind == UOP_LOAD:
@@ -337,7 +338,7 @@ class Backend(Module):
                     dyn.deps.append(producer)
             for reg in uop.destinations():
                 self.reg_producer[reg] = dyn
-            di.uops.append(dyn)
+            di.last_seq = dyn.seq
             self.rob.append(dyn)
             self.rs.append(dyn)
             if uop.is_mem:
@@ -354,17 +355,14 @@ class Backend(Module):
     def squash_all(self, cycle: int) -> None:
         """Squash every in-flight µop (asynchronous-interrupt flush)."""
         squashed_controls = 0
-        seen = set()
         while self.rob:
             uop: DynUop = self.rob.pop()
             uop.state = U_SQUASHED
             victim = uop.instr
-            if id(victim) not in seen:
-                seen.add(id(victim))
-                if not victim.squashed:
-                    victim.squashed = True
-                    if victim.is_control and not victim.resolved:
-                        squashed_controls += 1
+            if not victim.squashed:
+                victim.squashed = True
+                if victim.is_control and not victim.resolved:
+                    squashed_controls += 1
             self.bump("squashed_uops")
         self.rs = []
         self.lsq = []
@@ -381,19 +379,16 @@ class Backend(Module):
 
     def squash_younger(self, di: DynInstr, cycle: int) -> None:
         """Remove every µop younger than *di* (mis-speculation recovery)."""
-        boundary = di.uops[-1].seq
+        boundary = di.last_seq
         squashed_controls = 0
-        seen_instrs = set()
         while self.rob and self.rob[-1].seq > boundary:
             uop: DynUop = self.rob.pop()
             uop.state = U_SQUASHED
             victim = uop.instr
-            if id(victim) not in seen_instrs:
-                seen_instrs.add(id(victim))
-                if not victim.squashed:
-                    victim.squashed = True
-                    if victim.is_control and not victim.resolved:
-                        squashed_controls += 1
+            if not victim.squashed:
+                victim.squashed = True
+                if victim.is_control and not victim.resolved:
+                    squashed_controls += 1
             self.bump("squashed_uops")
         self.rs = [u for u in self.rs if u.seq <= boundary]
         self.lsq = [u for u in self.lsq if u.seq <= boundary]

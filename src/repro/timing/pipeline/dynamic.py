@@ -1,4 +1,13 @@
-"""Dynamic (in-flight) instruction and µop records."""
+"""Dynamic (in-flight) instruction and µop records.
+
+Lifetime rule: the records form no reference cycle, so a retired or
+squashed record is freed by reference counting as soon as the pipeline
+drops it.  ``DynUop.instr`` is the only back edge (a DynInstr names its
+µops by ``last_seq``, not by reference), and a µop's producer links
+(``deps``) are emptied when it issues, since only the reservation
+station's readiness check reads them.  Live records are therefore
+bounded by the ROB, the queues and the register map.
+"""
 
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ class DynInstr:
     __slots__ = (
         "entry",
         "fetch_cycle",
-        "uops",
+        "last_seq",
         "uops_template",
         "uops_committed",
         "wrong_path",
@@ -34,7 +43,7 @@ class DynInstr:
     def __init__(self, entry: TraceEntry, fetch_cycle: int, wrong_path: bool):
         self.entry = entry
         self.fetch_cycle = fetch_cycle
-        self.uops: List["DynUop"] = []
+        self.last_seq = -1  # seq of the newest dispatched µop
         self.uops_template = ()  # set by decode, consumed by dispatch
         self.uops_committed = 0
         self.wrong_path = wrong_path
@@ -81,7 +90,7 @@ class DynUop:
         self.instr = instr
         self.uop = uop
         self.state = U_WAITING
-        self.deps: List["DynUop"] = []
+        self.deps: List["DynUop"] = []  # producers; emptied at issue
         self.done_cycle = -1
         self.is_last = is_last
         self.mem_paddr = instr.entry.mem_paddr if uop.is_mem else -1

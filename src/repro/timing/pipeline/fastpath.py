@@ -23,7 +23,13 @@ Bit-identity rules the implementation:
   ``reg_producer``, connector deques, unit busy lists) are hoisted;
 * rare paths (drain, resolve, interrupt redirect, load issue) still
   call the original methods so there is exactly one copy of their
-  logic.
+  logic;
+* record lifetimes match too: a µop's ``deps`` are emptied where it
+  becomes ``U_ISSUED``, and dispatch records an instruction's newest
+  µop as ``DynInstr.last_seq``, never by reference.  ``DynUop.instr``
+  stays the only back edge, so no record is part of a reference cycle
+  and each one is freed the moment the ROB, the queues and the
+  register map drop it (see :mod:`repro.timing.pipeline.dynamic`).
 
 Uop templates are immutable after cracking, so their per-µop metadata
 (unit class, source/destination register tuples, unpipelined flag) is
@@ -472,6 +478,7 @@ def bind_backend_tick(be):
                 else:
                     latency = meta[6]
                 uop.state = U_ISSUED
+                uop.deps.clear()
                 uop.done_cycle = cycle + latency
                 uop.fu = (meta[0], index)
                 if meta[5]:
@@ -545,7 +552,7 @@ def bind_backend_tick(be):
                     deps.append(producer)
             for reg in meta[3]:
                 reg_producer[reg] = dyn
-            di.uops.append(dyn)
+            di.last_seq = seq
             rob.append(dyn)
             be.rs.append(dyn)
             if meta[1]:

@@ -7,6 +7,8 @@ invariant must still hold, since firings are a pure function of commit
 cycles.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.baselines.lockstep import LockStepFeed
@@ -123,6 +125,28 @@ class TestCycleMode:
         assert coord.deliveries > 1
         assert fm.stats.rollbacks > 0
         assert console.text().count("A") == 20
+
+    def test_forced_interrupt_log_trimmed_to_checkpoints(self, monkeypatch):
+        """Replay starts at a retained checkpoint, so commits drop the
+        deliveries logged before the oldest one -- without changing the
+        run."""
+        stats, fm, console, coord = run_cycle_mode(
+            TraceBufferFeed, [SPINNER, SPINNER], interval_cycles=2000
+        )
+        assert coord.deliveries > 5
+        oldest = fm.ckpt.oldest_in
+        assert all(after_in >= oldest for after_in in fm._forced_irqs)
+        # The same run with the whole log kept.
+        monkeypatch.setattr(
+            FunctionalModel, "commit",
+            lambda self, in_no: self.ckpt.release(in_no),
+        )
+        kept_stats, kept_fm, kept_console, _ = run_cycle_mode(
+            TraceBufferFeed, [SPINNER, SPINNER], interval_cycles=2000
+        )
+        assert len(kept_fm._forced_irqs) > len(fm._forced_irqs)
+        assert asdict(stats) == asdict(kept_stats)
+        assert console.text() == kept_console.text()
 
     def test_requires_timer_device(self):
         from repro.system.bus import IOBus

@@ -21,6 +21,7 @@ from repro.functional.model import FunctionalModel
 from repro.isa.program import ProgramImage
 from repro.system.bus import build_standard_system
 from repro.timing.core import TimingConfig, TimingModel
+from repro.timing.pipeline.dynamic import U_DONE
 
 # Figure 1's program, transcribed to FastISA (same dependency shape):
 #   I1: R0 = MEM[R1]      load
@@ -67,13 +68,22 @@ def run_figure(source, config=None, base=0x1000):
     )
     committed = []
     tm.commit_listeners.append(lambda di, cycle: committed.append((di, cycle)))
+    # Each instruction's latest µop writeback cycle.  The pipeline keeps
+    # no per-instruction µop list, but a done µop stays in the ROB for at
+    # least one cycle before it commits, so scanning after every tick
+    # sees each one.
+    done = {}
     while tm.cycle < 500_000:
         tm.tick()
+        for uop in tm.backend.rob:
+            if uop.state == U_DONE:
+                di = uop.instr
+                done[di] = max(done.get(di, -1), uop.done_cycle)
         # The speculative FM halts long before the TM finishes; stop
         # only when the trace buffer is drained and everything committed.
         if fm.state.halted and tm.drained and tm.feed.peek() is None:
             break
-    return tm, fm, committed, image
+    return tm, fm, committed, image, done
 
 
 class TestFigure1:
@@ -82,7 +92,7 @@ class TestFigure1:
         return run_figure(FIGURE1)
 
     def _body(self, run):
-        tm, fm, committed, image = run
+        tm, fm, committed, image, _d = run
         body_pc = image.symbol("body")
         return [c for c in committed if c[0].entry.pc >= body_pc]
 
@@ -101,9 +111,9 @@ class TestFigure1:
         for di, _cycle in body:
             by_name.setdefault(len(by_name) + 1, di)
         i2, i3, i4 = by_name[2], by_name[3], by_name[4]
-        done = lambda di: max(u.done_cycle for u in di.uops)
-        assert done(i4) < done(i2)
-        assert done(i4) < done(i3)
+        done = run[4]
+        assert done[i4] < done[i2]
+        assert done[i4] < done[i3]
 
     def test_dependent_load_waits_for_producer(self, run):
         """Figure 1, T=3: I2 waits in the reservation station, blocked
@@ -111,25 +121,24 @@ class TestFigure1:
         body = self._body(run)
         i1 = body[0][0]
         i2 = body[1][0]
-        assert max(u.done_cycle for u in i2.uops) > max(
-            u.done_cycle for u in i1.uops
-        )
+        done = run[4]
+        assert done[i2] > done[i1]
 
     def test_chain_orders_i3_after_i2_i5_after_i3(self, run):
         body = self._body(run)
-        done = lambda i: max(u.done_cycle for u in body[i][0].uops)
+        done = lambda i: run[4][body[i][0]]
         assert done(2) > done(1)  # I3 after I2
         assert done(4) > done(2)  # I5 after I3
 
     def test_first_commit_deallocates_tb(self, run):
         """Figure 1, T=7: committing I1 advances the TB commit pointer
         (checkpoint resources released in the FM)."""
-        tm, fm, committed, _ = run
+        tm, fm, committed, _i, _d = run
         assert fm.ckpt.stats.released >= 0  # commits flowed to the FM
         assert tm.feed.protocol.commit_messages == len(committed)
 
     def test_functional_result_correct(self, run):
-        _tm, fm, _c, image = run
+        _tm, fm, _c, image, _d = run
         # R0 = MEM[MEM[ptr1]] + 4 = ptr3 + 4, and I5 loaded MEM[ptr3+4]=0.
         assert fm.state.regs[0] == image.symbol("ptr3") + 4
         assert fm.state.regs[1] == 0
@@ -158,7 +167,7 @@ class TestFigure2:
         return run_figure(FIGURE2)
 
     def test_mispredict_detected_and_resolved(self, run):
-        tm, fm, _c, _i = run
+        tm, fm, _c, _i, _d = run
         proto = tm.feed.protocol
         assert proto.mispredict_messages >= 1  # "execute I4* next"
         assert proto.resolve_messages >= 1  # branch resolution
@@ -167,12 +176,12 @@ class TestFigure2:
     def test_wrong_path_instructions_flowed(self, run):
         """T=1+m: the FM wrote mis-speculated instructions to the TB;
         the TM fetched them."""
-        tm, fm, _c, _i = run
+        tm, fm, _c, _i, _d = run
         assert fm.stats.wrong_path > 0
         assert tm.frontend.counter("fetched_wrong_path") > 0
 
     def test_wrong_path_never_commits(self, run):
-        _tm, fm, committed, image = run
+        _tm, fm, committed, image, _d = run
         target = image.symbol("L1")
         committed_pcs = [di.entry.pc for di, _ in committed]
         # The fall-through ADDIs (wrong path) never commit...
@@ -185,18 +194,18 @@ class TestFigure2:
 
     def test_architectural_state_clean(self, run):
         """Rollback removed every wrong-path effect."""
-        _tm, fm, _c, _i = run
+        _tm, fm, _c, _i, _d = run
         assert fm.state.regs[0] == 0  # the wrong-path ADDIs undone
         assert fm.state.regs[4] == 99  # right path ran
 
     def test_pipeline_drained_through_rob(self, run):
         """Resolving flushes the pipeline through the ROB: drain cycles
         attributed to the mispredict appear."""
-        tm, _fm, _c, _i = run
+        tm, _fm, _c, _i, _d = run
         assert tm.frontend.counter("drain_cycles_mispredict") > 0
 
     def test_commit_pointer_advanced_to_end(self, run):
-        tm, fm, committed, _ = run
+        tm, fm, committed, _i, _d = run
         assert committed[-1][0].entry.instr.name == "HALT"
         assert fm.in_count == committed[-1][0].entry.in_no
 
