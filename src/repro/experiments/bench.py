@@ -12,8 +12,8 @@ path work:
 * ``legacy``: the legacy tick engine with the FM superblock cache
   disabled -- the interpreter the fast path replaced;
 * ``compiled``: the compiled tick engine with superblock capture and
-  replay on -- the full busy-path stack (fused ticks, span-batched
-  commit, flat TM tables, FM superblocks).
+  replay on -- the full busy-path stack (generated stage closures,
+  span-batched commit, flat TM tables, FM superblocks).
 
 Both produce bit-identical ``TimingStats`` (the ``cycles_match`` bit).
 

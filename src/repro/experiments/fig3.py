@@ -10,14 +10,14 @@ total of about two hours").
 from __future__ import annotations
 
 from repro.experiments.harness import finish_experiment
-from repro.experiments.table2 import _NullFeed
 from repro.host.resources import estimate_resources
 from repro.timing.core import TimingConfig, TimingModel
+from repro.timing.feed import NullFeed
 
 
 def describe_target(config: TimingConfig = None) -> str:
     config = config or TimingConfig()
-    tm = TimingModel(_NullFeed(), config=config)
+    tm = TimingModel(NullFeed(), config=config)
     g = config.caches
     lines = [
         "Figure 3 target microarchitecture (issue width %d):" % config.issue_width,

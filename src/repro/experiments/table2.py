@@ -15,6 +15,7 @@ from typing import List
 from repro.experiments.harness import finish_experiment, format_table
 from repro.host.resources import ResourceReport, estimate_resources
 from repro.timing.core import TimingConfig, TimingModel
+from repro.timing.feed import NullFeed
 
 PAPER_TABLE2 = {
     1: (32.84, 50.0),
@@ -24,15 +25,6 @@ PAPER_TABLE2 = {
 }
 
 ISSUE_WIDTHS = (1, 2, 4, 8)
-
-
-class _NullFeed:
-    """Feed stand-in: resource estimation never runs the model."""
-
-    finished = True
-
-    def peek(self):
-        return None
 
 
 @dataclass
@@ -45,7 +37,7 @@ class Table2Row:
 
 
 def build_timing_model(width: int) -> TimingModel:
-    return TimingModel(_NullFeed(), config=TimingConfig.with_issue_width(width))
+    return TimingModel(NullFeed(), config=TimingConfig.with_issue_width(width))
 
 
 def compute() -> List[Table2Row]:

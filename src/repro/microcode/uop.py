@@ -15,6 +15,8 @@ uniformly:
 
 from __future__ import annotations
 
+from typing import Optional
+
 GPR_BASE = 0
 FPR_BASE = 8
 FLAGS_REG = 16
@@ -52,6 +54,9 @@ KIND_TO_UNIT = {
     UOP_NOP: UNIT_ALU,
 }
 
+# µop ops that occupy their unit for the full latency (not pipelined).
+UNPIPELINED = frozenset({"div", "fdiv", "fsqrt"})
+
 
 class Uop:
     """One micro-op.
@@ -60,10 +65,10 @@ class Uop:
     dynamic µop and the simulator executes millions of them.
     """
 
-    # "meta" is a lazily-computed cache of dispatch/issue metadata used
-    # by the compiled engine's fused tick (repro.timing.pipeline
-    # .fastpath); it is derived from the other fields and excluded from
-    # equality and hashing.
+    # "meta" is a lazily-computed cache of the dispatch/issue metadata
+    # the timing model's back end reads (see :func:`uop_meta`); it is
+    # derived from the other fields and excluded from equality and
+    # hashing.
     _FIELDS = ("kind", "op", "dst", "src1", "src2", "lat", "wflags", "rflags")
     __slots__ = _FIELDS + ("meta",)
 
@@ -86,7 +91,7 @@ class Uop:
         self.lat = lat
         self.wflags = wflags
         self.rflags = rflags
-        self.meta = None
+        self.meta: Optional["UopMeta"] = None
 
     @property
     def unit(self) -> str:
@@ -133,6 +138,32 @@ class Uop:
 
     def __hash__(self) -> int:
         return hash(tuple(getattr(self, field) for field in self._FIELDS))
+
+
+class UopMeta:
+    """Dispatch/issue metadata of one µop template.
+
+    Templates are immutable once cracked, so this is computed once per
+    template instead of re-walking the ``sources()``/``destinations()``
+    generators at every dispatch.
+    """
+
+    __slots__ = ("unit", "is_mem", "sources", "destinations", "holds_unit")
+
+    def __init__(self, uop: Uop):
+        kind = uop.kind
+        self.unit = KIND_TO_UNIT[kind]
+        self.is_mem = kind == UOP_LOAD or kind == UOP_STORE
+        self.sources = tuple(uop.sources())
+        self.destinations = tuple(uop.destinations())
+        # Occupies its functional unit for the whole latency.
+        self.holds_unit = uop.op in UNPIPELINED or kind == UOP_LOAD
+
+
+def uop_meta(uop: Uop) -> UopMeta:
+    """Compute and cache ``uop.meta`` (callers read the cache first)."""
+    meta = uop.meta = UopMeta(uop)
+    return meta
 
 
 def fpr(index: int) -> int:

@@ -20,9 +20,10 @@ exactly the set of cycles on which its value can differ.  A probe that
 depends on the cycle number itself must pass an explicit *idle_hint*
 (or ``single_step=True``) instead.
 
-The per-cycle listener is *compiled*, the same move the engine makes
-for module ticks (:mod:`repro.timing.pipeline.fastpath`) and the
-invariant monitor makes for its fused probe: a canonical probe carries
+The per-cycle listener is *compiled*, the same exec-codegen move the
+engine makes for the pipeline stages it generates from their reference
+methods (:mod:`repro.timing.pipeline.fastpath`) and the invariant
+monitor makes for its fused probe: a canonical probe carries
 an ``inline_expr`` that is spliced into the generated listener source,
 and the ``below``/``at_least`` comparisons become literal operators,
 so the armed steady state costs one Python call per executed cycle

@@ -103,7 +103,8 @@ def _resolve_hint(hint) -> Optional[int]:
 def _compile_fused(watches: List[_Watch]) -> Callable[[], bool]:
     """Fuse every watch into one ``lambda: (...) and (...) and ...``.
 
-    The same move the compiled engine makes for module ticks
+    The same codegen move the compiled engine makes when it generates
+    the pipeline stages from their reference methods
     (repro.timing.pipeline.fastpath): the always-on hot path becomes a
     single Python call.  An invariant that declared an ``expr`` is
     inlined -- its expression is re-rooted from the free name ``m``

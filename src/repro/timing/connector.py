@@ -25,6 +25,9 @@ from repro.timing.module import Module
 class Connector(Module):
     """A latency/throughput-constrained FIFO between two Modules."""
 
+    STABLE_ATTRS = ("_queue", "input_throughput", "output_throughput",
+                    "min_latency", "max_transactions")
+
     def __init__(
         self,
         name: str,
@@ -181,12 +184,11 @@ class Connector(Module):
     # -- consumer side ----------------------------------------------------------
 
     def can_pop(self) -> bool:
-        if self._popped_this_cycle >= self.output_throughput:
-            return False
-        if not self._queue:
-            return False
-        visible, _item = self._queue[0]
-        return visible <= self._now
+        return (
+            self._popped_this_cycle < self.output_throughput
+            and len(self._queue) > 0
+            and self._queue[0][0] <= self._now
+        )
 
     def peek(self) -> Optional[Any]:
         if not self._queue:
@@ -213,13 +215,10 @@ class Connector(Module):
 
     def drop_if(self, predicate) -> int:
         """Selectively squash items (e.g. wrong-path entries)."""
-        kept = deque(
-            (visible, item)
-            for visible, item in self._queue
-            if not predicate(item)
-        )
+        kept = [entry for entry in self._queue if not predicate(entry[1])]
         dropped = len(self._queue) - len(kept)
-        self._queue = kept
+        self._queue.clear()
+        self._queue.extend(kept)
         return dropped
 
     def __len__(self) -> int:
@@ -239,3 +238,17 @@ class Connector(Module):
             "luts": 80 + 10 * self.max_transactions,
             "brams": brams,
         }
+
+
+# The compiled engine's stage generator (repro.timing.pipeline.fastpath)
+# splices these methods' source in place of calls on a Connector inside
+# a pipeline stage; any other Connector call there fails the bind.
+# Captured at import, so a class-level wrapper installed later (a
+# profiler's span, say) changes the calls it wraps, not what is inlined.
+# Each template names only ``self``, its parameters and builtins, and
+# returns only as its last statement or at the end of a top-level
+# ``if`` block.
+INLINE_TEMPLATES = {
+    name: vars(Connector)[name]
+    for name in ("tick", "can_push", "push", "can_pop", "pop")
+}

@@ -363,7 +363,7 @@ class TimingModel(Module):
         self.frontend.fetch_q.tick(cycle)
         self.frontend.decode_q.tick(cycle)
         self.backend.tick(cycle)
-        self.frontend.tick(cycle, self.backend.rob_empty)
+        self.frontend.tick(cycle)
         listeners = self.cycle_listeners
         if listeners:
             if len(listeners) == 1:

@@ -203,6 +203,13 @@ class Module:
     :meth:`counter`/:meth:`bump` for statistics.
     """
 
+    # Attributes (dotted paths allowed) that no method rebinds after
+    # construction.  The compiled engine's stage generator
+    # (:mod:`repro.timing.pipeline.fastpath`) hoists ``self.`` chains
+    # through them into locals at bind time; every other attribute is
+    # re-read at each use.  A class's set is the union over its MRO.
+    STABLE_ATTRS: Tuple[str, ...] = ("_counters", "_counters.get")
+
     def __init__(self, name: str):
         self.name = name
         self._children: List["Module"] = []

@@ -2,6 +2,6 @@
 
 from repro.timing.pipeline.backend import Backend
 from repro.timing.pipeline.dynamic import DynInstr, DynUop
-from repro.timing.pipeline.frontend import Frontend, is_barrier
+from repro.timing.pipeline.frontend import Frontend
 
-__all__ = ["Backend", "DynInstr", "DynUop", "Frontend", "is_barrier"]
+__all__ = ["Backend", "DynInstr", "DynUop", "Frontend"]

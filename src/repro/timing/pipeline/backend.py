@@ -11,6 +11,7 @@ limitations we reproduce deliberately).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -23,6 +24,7 @@ from repro.microcode.uop import (
     UNIT_BRU,
     UNIT_FPU,
     UNIT_LSU,
+    uop_meta,
 )
 from repro.timing.cache.hierarchy import CacheHierarchy
 from repro.timing.module import Module
@@ -33,7 +35,7 @@ from repro.timing.pipeline.dynamic import (
     U_ISSUED,
     U_SQUASHED,
 )
-from repro.timing.pipeline.fastpath import bind_backend_tick
+from repro.timing.pipeline.fastpath import bind_stages, compile_stages
 from repro.timing.pipeline.frontend import (
     DRAIN_EXCEPTION,
     DRAIN_MISPREDICT,
@@ -41,11 +43,19 @@ from repro.timing.pipeline.frontend import (
     Frontend,
 )
 
-# µop ops that occupy their unit for the full latency (not pipelined).
-UNPIPELINED = frozenset({"div", "fdiv", "fsqrt"})
+_BY_SEQ = operator.attrgetter("seq")
 
 
 class Backend(Module):
+    frontend: Frontend
+    STABLE_ATTRS = (
+        "rob", "reg_producer", "_units", "frontend",
+        "frontend.predictor.update", "frontend.predictor.record_outcome",
+        "hierarchy.access_data", "feed.commit", "result_bus_width",
+        "commit_width", "dispatch_width", "rob_entries", "rs_entries",
+        "lsq_entries", "_resolve_control", "_issue_load",
+    )
+
     def __init__(
         self,
         frontend: Frontend,
@@ -89,8 +99,8 @@ class Backend(Module):
         # True while the reservation station is known to hold no
         # dep-ready uops.  Readiness only changes on writeback, squash,
         # or dispatch (a U_DONE producer's done_cycle never exceeds the
-        # cycle that marked it done), so the compiled issue loop can
-        # skip its scan until one of those events clears the flag.
+        # cycle that marked it done), so issue skips its scan until one
+        # of those events clears the flag.
         self._rs_quiet = False
         self.committed_instructions = 0
         self.committed_uops = 0
@@ -145,11 +155,10 @@ class Backend(Module):
     # -- per-cycle operation: writeback -> commit -> issue -> dispatch ----
 
     def bind_tick(self):
-        """Pre-bound per-cycle step for the compiled schedule: the fused
-        writeback->commit->issue->dispatch closure from
-        repro.timing.pipeline.fastpath (same mutation sequence as
-        ``tick``, queue/counter operations inlined)."""
-        return bind_backend_tick(self)
+        """Pre-bound per-cycle step for the compiled schedule: ``tick``
+        and its stages, generated with the Connector and counter
+        operations inlined (repro.timing.pipeline.fastpath)."""
+        return bind_stages(self)
 
     def tick(self, cycle: int) -> None:
         self._writeback(cycle)
@@ -170,20 +179,29 @@ class Backend(Module):
         finishing = [u for u in self.in_flight if u.done_cycle <= cycle]
         if not finishing:
             return
-        finishing.sort(key=lambda u: u.seq)
-        granted = finishing[: self.result_bus_width]
-        for uop in finishing[self.result_bus_width :]:
-            uop.done_cycle = cycle + 1  # result bus conflict: retry
-            self.bump("result_bus_conflicts")
-        for uop in granted:
+        finishing.sort(key=_BY_SEQ)
+        width = self.result_bus_width
+        overflow = len(finishing) - width
+        if overflow > 0:
+            for uop in finishing[width:]:
+                uop.done_cycle = cycle + 1  # result bus conflict: retry
+            self.bump("result_bus_conflicts", overflow)
+        written = 0
+        for uop in finishing[:width]:
             if uop.state == U_SQUASHED:
                 continue  # squashed by a resolution earlier this cycle
             self.in_flight.remove(uop)
             uop.state = U_DONE
             uop.done_cycle = cycle
-            self.bump("writebacks")
-            if uop.uop.kind in (UOP_BRANCH, UOP_JUMP):
+            written += 1
+            kind = uop.uop.kind
+            if kind == UOP_BRANCH or kind == UOP_JUMP:
                 self._resolve_control(uop, cycle)
+        if written:
+            self.bump("writebacks", written)
+            # Producers just completed: waiting consumers may have
+            # become dep-ready, so the issue scan must run.
+            self._rs_quiet = False
 
     def _resolve_control(self, uop: DynUop, cycle: int) -> None:
         di = uop.instr
@@ -200,6 +218,8 @@ class Backend(Module):
     # -- commit ----------------------------------------------------------------
 
     def _commit(self, cycle: int) -> None:
+        # Counters bump per event here: the on_instr_commit hook reads
+        # them mid-step.
         committed = 0
         while self.rob and committed < self.commit_width:
             uop: DynUop = self.rob[0]
@@ -210,74 +230,97 @@ class Backend(Module):
             self.committed_uops += 1
             self.last_commit_cycle = cycle
             di = uop.instr
-            if uop.uop.kind == UOP_STORE:
+            kind = uop.uop.kind
+            if kind == UOP_STORE:
                 self.hierarchy.access_data(uop.mem_paddr, is_write=True)
                 if uop in self.lsq:
                     self.lsq.remove(uop)
-            elif uop.uop.kind == UOP_LOAD and uop in self.lsq:
+            elif kind == UOP_LOAD and uop in self.lsq:
                 self.lsq.remove(uop)
             di.uops_committed += 1
-            if uop.is_last:
-                self._commit_instruction(di, cycle)
+            if not uop.is_last:
+                continue
+            # The instruction's last µop: retire the instruction.
+            entry = di.entry
+            self.committed_instructions += 1
+            self.bump("instructions")
+            if entry.instr.spec.is_control:
+                self.frontend.predictor.update(
+                    entry, entry.taken, entry.next_pc
+                )
+                self.frontend.predictor.record_outcome(not di.mispredicted)
+                self.bump("branches")
+                if di.mispredicted:
+                    self.bump("mispredicts")
+            if entry.exception:
+                self.bump("exception_redirects")
+            self.feed.commit(entry.in_no)
+            if di.is_barrier:
+                reason = DRAIN_EXCEPTION if entry.exception else DRAIN_SERIALIZE
+                self.frontend.begin_drain(entry.next_pc, reason)
+            if self.on_instr_commit is not None:
+                self.on_instr_commit(di, cycle)
         if committed:
             self.bump("commit_cycles")
 
-    def _commit_instruction(self, di: DynInstr, cycle: int) -> None:
-        entry = di.entry
-        self.committed_instructions += 1
-        self.bump("instructions")
-        if di.is_control:
-            self.frontend.predictor.update(entry, entry.taken, entry.next_pc)
-            self.frontend.predictor.record_outcome(not di.mispredicted)
-            self.bump("branches")
-            if di.mispredicted:
-                self.bump("mispredicts")
-        if entry.exception:
-            self.bump("exception_redirects")
-        self.feed.commit(entry.in_no)
-        if di.is_barrier:
-            reason = DRAIN_EXCEPTION if entry.exception else DRAIN_SERIALIZE
-            self.frontend.begin_drain(entry.next_pc, reason)
-        if self.on_instr_commit is not None:
-            self.on_instr_commit(di, cycle)
-
     # -- issue ---------------------------------------------------------------------
 
-    def _free_unit(self, unit: str, cycle: int) -> int:
-        for index, busy_until in enumerate(self._units[unit]):
-            if busy_until <= cycle:
-                return index
-        return -1
-
     def _issue(self, cycle: int) -> None:
-        if not self.rs:
+        rs = self.rs
+        if not rs or self._rs_quiet:
             return
         issued: List[DynUop] = []
-        for uop in self.rs:
-            unit = uop.uop.unit
-            index = self._free_unit(unit, cycle)
+        ready = 0
+        for uop in rs:
+            # Readiness before unit availability: both checks are pure,
+            # so the order cannot change which µops issue, and a stalled
+            # consumer (the common case while a load is outstanding)
+            # fails on its first dependency instead of scanning units.
+            blocked = False
+            for dep in uop.deps:
+                state = dep.state
+                if state == U_SQUASHED:
+                    continue  # producer squashed: value comes from the map
+                if state != U_DONE or dep.done_cycle > cycle:
+                    blocked = True
+                    break
+            if blocked:
+                continue
+            ready += 1
+            template = uop.uop
+            meta = template.meta or uop_meta(template)
+            units = self._units[meta.unit]
+            index = -1
+            for i, busy_until in enumerate(units):
+                if busy_until <= cycle:
+                    index = i
+                    break
             if index < 0:
                 continue
-            if not uop.ready(cycle):
-                continue
-            latency = uop.uop.lat
-            if uop.uop.kind == UOP_LOAD:
+            kind = template.kind
+            if kind == UOP_LOAD:
                 latency = self._issue_load(uop)
-            elif uop.uop.kind == UOP_STORE:
+            elif kind == UOP_STORE:
                 latency = 1  # cache write happens at commit
+            else:
+                latency = template.lat
             uop.state = U_ISSUED
             uop.deps.clear()  # read only by the readiness check above
             uop.done_cycle = cycle + latency
-            uop.fu = (unit, index)
-            if uop.uop.op in UNPIPELINED or uop.uop.kind == UOP_LOAD:
-                self._units[unit][index] = cycle + latency
-            else:
-                self._units[unit][index] = cycle + 1
+            uop.fu = (meta.unit, index)
+            units[index] = cycle + (latency if meta.holds_unit else 1)
             self.in_flight.append(uop)
             issued.append(uop)
-            self.bump("issues")
-        for uop in issued:
-            self.rs.remove(uop)
+        if issued:
+            for uop in issued:
+                rs.remove(uop)
+            self.bump("issues", len(issued))
+        elif not ready:
+            # Every entry failed its dependency check, and only a
+            # writeback, squash or dispatch can change that: skip the
+            # scan until one clears the flag.  (Unit availability does
+            # not matter: no µop got that far.)
+            self._rs_quiet = True
 
     def _issue_load(self, uop: DynUop) -> int:
         """Load execution: store-to-load forwarding, else the blocking
@@ -308,7 +351,7 @@ class Backend(Module):
             if self._dispatching is None:
                 di = self.frontend.decode_q.pop()
                 if di is None:
-                    return
+                    break
                 if di.squashed:
                     continue
                 if not di.uops_template:
@@ -323,32 +366,36 @@ class Backend(Module):
             uop = template[index]
             if len(self.rob) >= self.rob_entries:
                 self.bump("rob_full_stalls")
-                return
+                break
             if len(self.rs) >= self.rs_entries:
                 self.bump("rs_full_stalls")
-                return
-            if uop.is_mem and len(self.lsq) >= self.lsq_entries:
+                break
+            meta = uop.meta or uop_meta(uop)
+            if meta.is_mem and len(self.lsq) >= self.lsq_entries:
                 self.bump("lsq_full_stalls")
-                return
+                break
             self._seq += 1
-            dyn = DynUop(self._seq, di, uop, is_last=(index + 1 == len(template)))
-            for reg in uop.sources():
+            is_last = index + 1 == len(template)
+            dyn = DynUop(self._seq, di, uop, is_last=is_last)
+            for reg in meta.sources:
                 producer = self.reg_producer.get(reg)
                 if producer is not None and producer.state != U_SQUASHED:
                     dyn.deps.append(producer)
-            for reg in uop.destinations():
+            for reg in meta.destinations:
                 self.reg_producer[reg] = dyn
             di.last_seq = dyn.seq
             self.rob.append(dyn)
             self.rs.append(dyn)
-            if uop.is_mem:
+            if meta.is_mem:
                 self.lsq.append(dyn)
-            self.bump("dispatched_uops")
             budget -= 1
-            if index + 1 == len(template):
-                self._dispatching = None
-            else:
-                self._dispatching = (di, index + 1)
+            self._dispatching = None if is_last else (di, index + 1)
+        dispatched = self.dispatch_width - budget
+        if dispatched:
+            self.bump("dispatched_uops", dispatched)
+            # Fresh µops may be ready at once (operands already in the
+            # register file): rescan next cycle.
+            self._rs_quiet = False
 
     # -- squash -----------------------------------------------------------------------
 
@@ -413,3 +460,8 @@ class Backend(Module):
             self._dispatching = None
         self._rs_quiet = False
         self.frontend.branches_squashed(squashed_controls)
+
+
+# The compiled engine's stage closures, generated once from the methods
+# above (see repro.timing.pipeline.fastpath).
+compile_stages(Backend)

@@ -96,15 +96,6 @@ class DynUop:
         self.mem_paddr = instr.entry.mem_paddr if uop.is_mem else -1
         self.fu = None  # (unit_class, index) while issued
 
-    def ready(self, cycle: int) -> bool:
-        """All producers have written back by *cycle*."""
-        for dep in self.deps:
-            if dep.state == U_SQUASHED:
-                continue  # producer squashed: value comes from the map
-            if dep.state != U_DONE or dep.done_cycle > cycle:
-                return False
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DynUop(#%d %s/%s st=%d)" % (
             self.seq,

@@ -27,7 +27,7 @@ from repro.timing.connector import Connector
 from repro.timing.feed import InstructionFeed
 from repro.timing.module import Module
 from repro.timing.pipeline.dynamic import DynInstr
-from repro.timing.pipeline.fastpath import bind_frontend_tick
+from repro.timing.pipeline.fastpath import bind_stages, compile_stages
 
 MASK32 = 0xFFFFFFFF
 
@@ -54,22 +54,17 @@ DRAIN_SERIALIZE = "serialize"
 CRACK_MEMO_LIMIT = 16384
 
 
-def is_barrier(entry: TraceEntry) -> bool:
-    """Serializing instructions stop fetch until they commit."""
-    if entry.exception:
-        return True
-    if entry.instr.name in SERIALIZING:
-        return True
-    if (
-        not entry.instr.spec.is_control
-        and entry.next_pc != (entry.pc + entry.instr.length) & MASK32
-    ):
-        return True
-    return False
-
-
 class Frontend(Module):
     """Fetch + Decode + branch prediction."""
+
+    fetch_q: Connector
+    decode_q: Connector
+    STABLE_ATTRS = (
+        "fetch_q", "decode_q", "fetch_width", "max_nested_branches",
+        "feed.peek", "feed.consume", "itlb.lookup", "hierarchy.access_instr",
+        "hierarchy.l1i.line_of", "hierarchy.geometry.l1_hit_latency",
+        "backend", "backend.rob", "begin_drain", "_crack", "_predict",
+    )
 
     def __init__(
         self,
@@ -166,26 +161,17 @@ class Frontend(Module):
     # -- per-cycle operation ----------------------------------------------
 
     def bind_tick(self):
-        """Pre-bound per-cycle step for the compiled schedule.
+        """Pre-bound per-cycle step for the compiled schedule: ``tick``
+        and its stages, generated with the Connector and counter
+        operations inlined (repro.timing.pipeline.fastpath)."""
+        return bind_stages(self)
 
-        With a back end wired, the compiled engine gets the fused
-        fetch+decode closure (repro.timing.pipeline.fastpath): same
-        state machine, connector/counter operations inlined.  The
-        ``rob_empty`` input stays a zero-latency combinational read of
-        back-end state, re-evaluated each cycle inside the closure."""
-        if self.backend is None:
-            # Structural tree without a back end: nothing drains the
-            # ROB, so it reads as permanently empty.
-            tick = self.tick
-            return lambda cycle: tick(cycle, True)
-        return bind_frontend_tick(self)
-
-    def tick(self, cycle: int, rob_empty: bool) -> None:
+    def tick(self, cycle: int) -> None:
         self.fetch_q.tick(cycle)
         self.decode_q.tick(cycle)
         self.idle_this_cycle = False
         self._decode(cycle)
-        self._fetch(cycle, rob_empty)
+        self._fetch(cycle)
 
     def _decode(self, cycle: int) -> None:
         """Move fetched instructions to the dispatch queue, cracking
@@ -195,13 +181,14 @@ class Frontend(Module):
             self._crack_memo_prev.clear()
             self._crack_memo_version = self.microcode.version
         memo = self._crack_memo
+        decoded = 0
         for _ in range(self.fetch_width):
             if not self.decode_q.can_push():
                 self.bump("decode_stalls")
-                return
+                break
             di = self.fetch_q.pop()
             if di is None:
-                return
+                break
             entry = di.entry
             instr = entry.instr
             if instr.spec.iclass == "string":
@@ -217,7 +204,9 @@ class Frontend(Module):
                 memo = self._crack_memo  # may have rotated
             di.uops_template = uops  # consumed by dispatch
             self.decode_q.push(di)
-            self.bump("decoded")
+            decoded += 1
+        if decoded:
+            self.bump("decoded", decoded)
 
     def _crack(self, entry: TraceEntry, instr, key) -> tuple:
         """Crack-memo miss path: probe the previous generation (second
@@ -248,14 +237,16 @@ class Frontend(Module):
         memo[key] = cached
         return cached[1]
 
-    def _fetch(self, cycle: int, rob_empty: bool) -> None:
+    def _fetch(self, cycle: int) -> None:
         if self.mode == F_HALTED:
             self.bump("halt_stall_cycles")
             return
         if self.mode == F_DRAIN:
             self.bump("drain_cycles")
             self.bump("drain_cycles_" + self.drain_reason)
-            if rob_empty:
+            # A zero-latency read of back-end state (with no back end
+            # wired there is nothing to drain).
+            if self.backend is None or not self.backend.rob:
                 self.mode = F_FETCH
                 self.expected_pc = self.resume_pc
                 self.resume_pc = None
@@ -265,6 +256,7 @@ class Frontend(Module):
             return
 
         fetched = 0
+        wrong_path = 0
         while fetched < self.fetch_width:
             if not self.fetch_q.can_push():
                 if fetched == 0:
@@ -275,7 +267,8 @@ class Frontend(Module):
                 if fetched == 0:
                     self.idle_this_cycle = True
                 break
-            if self.expected_pc is not None and entry.pc != self.expected_pc:
+            expected_pc = self.expected_pc
+            if expected_pc is not None and entry.pc != expected_pc:
                 if entry.handler_entry:
                     # Asynchronous interrupt: drain, then redirect into
                     # the handler (paper section 3.4: the timing model
@@ -285,7 +278,7 @@ class Frontend(Module):
                 else:
                     raise AssertionError(
                         "feed/fetch divergence: expected %#x got %#x (IN %d)"
-                        % (self.expected_pc, entry.pc, entry.in_no)
+                        % (expected_pc, entry.pc, entry.in_no)
                     )
                 break
             # I-cache: one line access per group; crossing ends the group.
@@ -315,17 +308,29 @@ class Frontend(Module):
                 self._predict(di)
             else:
                 self.expected_pc = entry.next_pc
-            if is_barrier(entry):
+            # Serializing instructions are fetch barriers: fetch stops
+            # until they commit.
+            if (
+                entry.exception
+                or entry.instr.name in SERIALIZING
+                or (
+                    not is_control
+                    and entry.next_pc != (entry.pc + entry.instr.length) & MASK32
+                )
+            ):
                 di.is_barrier = True
                 self.mode = F_HALTED
                 self.bump("barrier_fetches")
             self.fetch_q.push(di)
-            self.bump("fetched")
             if entry.wrong_path:
-                self.bump("fetched_wrong_path")
+                wrong_path += 1
             fetched += 1
             if di.is_barrier or is_control:
                 break
+        if fetched:
+            self.bump("fetched", fetched)
+            if wrong_path:
+                self.bump("fetched_wrong_path", wrong_path)
 
     def _predict(self, di: DynInstr) -> None:
         entry = di.entry
@@ -342,3 +347,8 @@ class Frontend(Module):
             self.bump("fetch_mispredicts")
             self.feed.force_wrong_path(entry.in_no, predicted_pc)
         self.expected_pc = predicted_pc
+
+
+# The compiled engine's stage closures, generated once from the methods
+# above (see repro.timing.pipeline.fastpath).
+compile_stages(Frontend)

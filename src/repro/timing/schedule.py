@@ -46,7 +46,7 @@ engines' invariant seam: the FastWatch monitor
 invariant into one listener and subscribes it with an idle hint, so
 structural properties are checked after *every executed cycle* on both
 engines while idle spans still batch.  Invariant probes must go through
-this hook -- never inside the fused step closures -- because listeners
+this hook -- never inside the generated stage closures -- because listeners
 observe the post-step state of a fully-evaluated cycle on either
 engine, which is what keeps a violation's cycle number engine-
 independent.  ``_idle_span`` already enforces the corresponding rule:

@@ -125,14 +125,14 @@ class TestResourceEstimation:
     def test_bigger_caches_cost_brams(self):
         from repro.timing.cache.hierarchy import CacheGeometry
         from repro.timing.core import TimingConfig, TimingModel
-        from repro.experiments.table2 import _NullFeed
+        from repro.timing.feed import NullFeed
 
         small = estimate_resources(
-            TimingModel(_NullFeed(), config=TimingConfig())
+            TimingModel(NullFeed(), config=TimingConfig())
         )
         big = estimate_resources(
             TimingModel(
-                _NullFeed(),
+                NullFeed(),
                 config=TimingConfig(
                     caches=CacheGeometry(l2_bytes=2 * 1024 * 1024)
                 ),

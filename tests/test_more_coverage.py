@@ -12,6 +12,7 @@ from repro.functional.model import (
 from repro.isa.program import ProgramImage
 from repro.system.bus import build_standard_system
 from repro.timing.core import DeadlockError, TimingConfig, TimingModel, TimingStats
+from repro.timing.feed import InstructionFeed
 from tests.helpers import run_bare
 
 
@@ -150,7 +151,7 @@ class TestFeedBehaviour:
 
 class TestDeadlockDetection:
     def test_watchdog_raises_on_wedged_feed(self):
-        class WedgedFeed:
+        class WedgedFeed(InstructionFeed):
             finished = False
 
             def peek(self):

@@ -410,9 +410,20 @@ class TestProfiler:
         assert len(executed) == 1  # every step runs once per executed cycle
         calls = executed.pop()
         assert sim.tm.cycle - sim.tm.idle_cycles <= calls <= sim.tm.cycle
-        stage_labels = [row["stage"] for row in report["stages"]]
-        assert "backend.commit" in stage_labels
-        assert "frontend.fetch" in stage_labels
+        stages = {row["stage"]: row for row in report["stages"]}
+        assert set(stages) == {
+            "frontend.decode", "frontend.fetch", "backend.writeback",
+            "backend.commit", "backend.issue", "backend.dispatch",
+        }
+        # The stage brackets wrap the closures the compiled engine runs,
+        # so every stage is timed, nested inside its module's bracket.
+        assert all(row["calls"] > 0 for row in stages.values())
+        modules = {row["path"]: row for row in report["modules"]}
+        backend_stage_s = sum(
+            row["seconds"] for label, row in stages.items()
+            if label.startswith("backend.")
+        )
+        assert backend_stage_s <= modules["timing_model/backend"]["seconds"]
         # Functional-side busy path is attributed too: the span fill
         # plus FastBlock capture/replay.
         fm_rows = {row["label"]: row for row in report["functional"]}
