@@ -24,14 +24,39 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 DEFAULT_CAPACITY = 65536
+
+# Records per text chunk of :func:`jsonl_chunks` (about 25 KB of seam
+# events).
+JSONL_CHUNK_RECORDS = 256
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def jsonl_chunks(records: Iterable[dict]) -> Iterator[str]:
+    """Byte-reproducible JSONL as text chunks of up to
+    :data:`JSONL_CHUNK_RECORDS` lines: one sorted-key compact record per
+    line, every line newline-terminated, no chunk for no records."""
+    encode = _ENCODER.encode
+    lines: List[str] = []
+    for record in records:
+        lines.append(encode(record))
+        if len(lines) == JSONL_CHUNK_RECORDS:
+            lines.append("")
+            yield "\n".join(lines)
+            lines = []
+    if lines:
+        lines.append("")
+        yield "\n".join(lines)
 
 
 @dataclass(frozen=True)
 class Event:
-    """One cycle-stamped record from the FM/TM seam."""
+    """One cycle-stamped record from the FM/TM seam: a read-side view
+    built from the tracer's compact record on iteration."""
 
     seq: int
     cycle: int
@@ -39,23 +64,33 @@ class Event:
     fields: Dict[str, object]
 
     def to_dict(self) -> dict:
-        out: Dict[str, object] = {"seq": self.seq, "cycle": self.cycle,
-                                  "kind": self.kind}
-        out.update(self.fields)
-        return out
+        return _event_dict(self.seq, self.cycle, self.kind, self.fields)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return _ENCODER.encode(self.to_dict())
+
+
+def _event_dict(seq: int, cycle: int, kind: str, fields) -> dict:
+    out: Dict[str, object] = {"seq": seq, "cycle": cycle, "kind": kind}
+    out.update(fields)
+    return out
 
 
 class EventTracer:
-    """A bounded ring buffer of :class:`Event` records.
+    """A bounded ring buffer of seam events.
 
     When the ring is full the oldest events are dropped (and counted in
     :attr:`dropped`) -- observability must never grow without bound
     inside a hundred-million-cycle run.  ``seq`` keeps climbing across
     drops, so consumers can detect the gap.
+
+    Each event is stored as one flat tuple ``(cycle, shape, *values)``,
+    about half the heap of a dataclass holding a payload dict: *shape*
+    is the ``(kind, keys)`` pair naming the values, interned so every
+    event of one kind and field set shares it.  ``seq`` is not stored:
+    the ring holds consecutive sequence numbers, so an event's is its
+    position plus that of the oldest retained one.  Iteration and
+    :attr:`events` rebuild :class:`Event` views.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -66,30 +101,37 @@ class EventTracer:
         self.cycle_source = cycle_source
         self.seq = 0
         self.dropped = 0
-        self._ring: Deque[Event] = deque(maxlen=capacity)
+        self._ring: Deque[tuple] = deque(maxlen=capacity)
+        self._shapes: Dict[Tuple[str, Tuple[str, ...]],
+                           Tuple[str, Tuple[str, ...]]] = {}
         # kind -> count, over the whole run (not just what the ring
         # still holds); cheap enough to keep always.
         self.kind_counts: Dict[str, int] = {}
 
-    def emit(self, kind: str, **fields) -> Event:
+    def emit(self, kind: str, **fields) -> None:
         cycle = self.cycle_source() if self.cycle_source is not None else 0
-        event = Event(seq=self.seq, cycle=cycle, kind=kind, fields=fields)
+        shape = (kind, tuple(fields))
+        shape = self._shapes.setdefault(shape, shape)
         self.seq += 1
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         if len(self._ring) == self.capacity:
             self.dropped += 1
-        self._ring.append(event)
-        return event
+        self._ring.append((cycle, shape, *fields.values()))
 
     def __len__(self) -> int:
         return len(self._ring)
 
+    def _numbered(self) -> Iterator[Tuple[int, tuple]]:
+        return enumerate(self._ring, self.seq - len(self._ring))
+
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._ring)
+        for seq, record in self._numbered():
+            kind, keys = record[1]
+            yield Event(seq, record[0], kind, dict(zip(keys, record[2:])))
 
     @property
     def events(self) -> List[Event]:
-        return list(self._ring)
+        return list(self)
 
     def footer(self) -> dict:
         """The gap-detection summary record appended to JSONL output:
@@ -104,26 +146,30 @@ class EventTracer:
             "kinds": dict(sorted(self.kind_counts.items())),
         }
 
-    def to_jsonl(self, footer: bool = False) -> str:
-        """Byte-reproducible JSONL: one sorted-key compact record per
-        line, trailing newline if nonempty.  With *footer*, a final
-        ``trace_summary`` record carries the whole-run drop accounting
-        so consumers can detect ring-overflow gaps."""
-        lines = [event.to_json() for event in self._ring]
+    def _dicts(self, footer: bool) -> Iterator[dict]:
+        for seq, record in self._numbered():
+            kind, keys = record[1]
+            yield _event_dict(seq, record[0], kind, zip(keys, record[2:]))
         if footer:
-            lines.append(
-                json.dumps(self.footer(), sort_keys=True,
-                           separators=(",", ":"))
-            )
-        if not lines:
-            return ""
-        return "\n".join(lines) + "\n"
+            yield self.footer()
+
+    def iter_jsonl(self, footer: bool = False) -> Iterator[str]:
+        """Byte-reproducible JSONL in text chunks (:func:`jsonl_chunks`):
+        one sorted-key compact record per line.  With *footer*, a final
+        ``trace_summary`` record carries the whole-run drop accounting
+        so consumers can detect ring-overflow gaps.  The one
+        serializer behind :meth:`to_jsonl`, :meth:`write_jsonl` and the
+        FastFlight store."""
+        return jsonl_chunks(self._dicts(footer))
+
+    def to_jsonl(self, footer: bool = False) -> str:
+        """:meth:`iter_jsonl` joined: trailing newline if nonempty."""
+        return "".join(self.iter_jsonl(footer=footer))
 
     def write_jsonl(self, path: str, footer: bool = False) -> int:
-        """Write the ring to *path*; returns the number of records."""
-        text = self.to_jsonl(footer=footer)
+        """Stream the ring to *path*; returns the number of records."""
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(self.iter_jsonl(footer=footer))
         return len(self._ring)
 
     def summary(self) -> dict:

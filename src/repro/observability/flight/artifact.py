@@ -43,11 +43,15 @@ rightly object).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.observability.events import jsonl_chunks
 
 SCHEMA_VERSION = 1
 DEFAULT_ROOT = os.path.join("results", "runs")
@@ -70,35 +74,53 @@ TRACE_FOOTER_KIND = "trace_summary"
 PULSE_FOOTER_KIND = "pulse_footer"
 
 
+# Characters per text chunk when a store file is streamed.
+CHUNK_CHARS = 1 << 16
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
     """Sorted-key, compact, newline-terminated JSON -- the byte-stable
     encoding every hashed artifact file uses."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
-def jsonl(records: List[dict]) -> str:
-    """One sorted-key compact record per line, newline-terminated; the
-    empty string for no records."""
-    if not records:
-        return ""
-    return "\n".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
-        for record in records
-    ) + "\n"
+def json_chunks(obj: Any) -> Iterator[str]:
+    """:func:`canonical_json` of *obj* as text chunks of about
+    :data:`CHUNK_CHARS` characters, encoded incrementally."""
+    pending: List[str] = []
+    size = 0
+    for piece in _ENCODER.iterencode(obj):
+        pending.append(piece)
+        size += len(piece)
+        if size >= CHUNK_CHARS:
+            yield "".join(pending)
+            pending, size = [], 0
+    pending.append("\n")
+    yield "".join(pending)
 
 
-def footer_record(text: Optional[str], kind: str) -> Optional[Dict[str, Any]]:
-    """The last record of JSONL *text* when it is a *kind* record (a
-    stream's footer); None for no text, no records, an unparsable last
-    line (a stream cut off mid-write) or another kind."""
-    last = None
-    for line in (text or "").splitlines():
-        if line.strip():
-            last = line
-    if last is None:
+def file_chunks(path: str) -> Iterator[str]:
+    """The text of *path* in chunks of at most :data:`CHUNK_CHARS`."""
+    with open(path) as fh:
+        yield from iter(lambda: fh.read(CHUNK_CHARS), "")
+
+
+def footer_record(chunks: Iterable[str],
+                  kind: str) -> Optional[Dict[str, Any]]:
+    """The last record of a JSONL stream given as text *chunks* when it
+    is a *kind* record (the stream's footer); None for no records, an
+    unparsable last line (a stream cut off mid-write) or another kind.
+    Only the last line is kept in memory."""
+    tail = ""
+    for chunk in chunks:
+        text = tail + chunk
+        tail = text[text.rstrip().rfind("\n") + 1:]
+    if not tail.strip():
         return None
     try:
-        record = json.loads(last)
+        record = json.loads(tail)
     except ValueError:
         return None
     return record if record.get("kind") == kind else None
@@ -154,6 +176,18 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _write_chunks(path: str, chunks: Iterable[str]) -> str:
+    """Write *chunks* to *path* as UTF-8; returns the SHA-256 of the
+    bytes, updated chunk by chunk."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
 def _content_hash(identity: Dict[str, Any],
                   file_hashes: Dict[str, str]) -> str:
     body = dict(identity)
@@ -165,31 +199,42 @@ def write_entry(
     store: StoreKind,
     prefix: str,
     identity: Dict[str, Any],
-    files: Dict[str, str],
+    files: Dict[str, Iterable[str]],
     root: str,
     **unhashed: Any,
 ) -> Tuple[str, Dict[str, Any]]:
-    """Write *files* (name -> text) and the manifest as a new entry
-    ``<prefix>-<hash12>`` under *root*; returns ``(path, manifest)``.
-    *unhashed* manifest fields (the volatile ``host`` section, capsule
-    back-links) ride along outside the content hash."""
-    file_hashes = {
-        name: _sha256_text(text)
-        for name, text in files.items()
-        if name in store.hashed_files
-    }
-    content_hash = _content_hash(identity, file_hashes)
-    base_id = "%s-%s" % (prefix, content_hash[:12])
-    os.makedirs(root, exist_ok=True)
-    entry_id = base_id
-    serial = 1
-    while os.path.exists(os.path.join(root, entry_id)):
-        # Same-content re-runs are kept side by side (the "two same-seed
-        # artifacts diff clean" workflow needs both on disk).
-        serial += 1
-        entry_id = "%s.%d" % (base_id, serial)
-    path = os.path.join(root, entry_id)
-    os.makedirs(path)
+    """Write *files* (name -> text chunks) and the manifest as a new
+    entry ``<prefix>-<hash12>`` under *root*; returns ``(path,
+    manifest)``.  *unhashed* manifest fields (the volatile ``host``
+    section, capsule back-links) ride along outside the content hash.
+
+    No file is held whole: each streams into a staging directory under
+    *root* with its hash updated chunk by chunk, and the directory is
+    renamed to its content-addressed id once the hash is known.  The
+    manifest is written last, so a store reader never lists a
+    half-written entry."""
+    staging = os.path.join(root, ".staging-" + os.urandom(8).hex())
+    os.makedirs(staging)
+    try:
+        file_hashes = {}
+        for name, chunks in files.items():
+            digest = _write_chunks(os.path.join(staging, name), chunks)
+            if name in store.hashed_files:
+                file_hashes[name] = digest
+        content_hash = _content_hash(identity, file_hashes)
+        base_id = "%s-%s" % (prefix, content_hash[:12])
+        entry_id = base_id
+        serial = 1
+        while os.path.exists(os.path.join(root, entry_id)):
+            # Same-content re-runs are kept side by side (the "two
+            # same-seed artifacts diff clean" workflow needs both).
+            serial += 1
+            entry_id = "%s.%d" % (base_id, serial)
+        path = os.path.join(root, entry_id)
+        os.rename(staging, path)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
     manifest: Dict[str, Any] = dict(identity, **unhashed)
     manifest["run_id"] = entry_id
@@ -197,9 +242,6 @@ def write_entry(
     manifest["files"] = {
         name: file_hashes.get(name, "") for name in sorted(files)
     }
-    for name, text in files.items():
-        with open(os.path.join(path, name), "w") as fh:
-            fh.write(text)
     with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path, manifest
@@ -264,8 +306,10 @@ def verify_entry(store: StoreKind, entry: "StoreEntry") -> List[str]:
             continue
         if name not in store.hashed_files or not want:
             continue
-        with open(path) as fh:
-            got = _sha256_text(fh.read())
+        digest = hashlib.sha256()
+        for chunk in file_chunks(path):
+            digest.update(chunk.encode("utf-8"))
+        got = digest.hexdigest()
         if got != want:
             problems.append(
                 "hash mismatch on %s: manifest %s.., file %s.."
@@ -315,6 +359,10 @@ class StoreEntry:
             return None
         with open(path) as fh:
             return fh.read()
+
+    def _chunks(self, name: str) -> Iterator[str]:
+        path = self._file(name)
+        return file_chunks(path) if path is not None else iter(())
 
     def _read_json(self, name: str) -> Optional[Dict[str, Any]]:
         text = self._read(name)
@@ -372,7 +420,7 @@ class RunArtifact(StoreEntry):
     def trace_summary(self) -> Optional[Dict[str, Any]]:
         """The whole-run trace footer (recorded/dropped/per-kind totals),
         if the artifact carries a trace."""
-        return footer_record(self._read(TRACE_NAME), TRACE_FOOTER_KIND)
+        return footer_record(self._chunks(TRACE_NAME), TRACE_FOOTER_KIND)
 
     def has_trace(self) -> bool:
         return self._file(TRACE_NAME) is not None
@@ -384,7 +432,7 @@ class RunArtifact(StoreEntry):
         """The FastPulse footer record (``det`` + ``host`` sections)
         when the artifact adopted a live-telemetry sidecar; falls back
         to the hashed ``extra["pulse_footer"]`` identity copy."""
-        record = footer_record(self._read(PULSE_NAME), PULSE_FOOTER_KIND)
+        record = footer_record(self._chunks(PULSE_NAME), PULSE_FOOTER_KIND)
         if record is not None:
             return record
         footer = self.manifest.get("extra", {}).get("pulse_footer")
@@ -393,10 +441,10 @@ class RunArtifact(StoreEntry):
         return None
 
 
-def _pulse_footer_from_text(text: str) -> Optional[Dict[str, Any]]:
+def _pulse_footer(chunks: Iterable[str]) -> Optional[Dict[str, Any]]:
     """The deterministic footer section of a pulse sidecar's text, or
     None when the stream never finalized (crash mid-run)."""
-    record = footer_record(text, PULSE_FOOTER_KIND)
+    record = footer_record(chunks, PULSE_FOOTER_KIND)
     det = record.get("det") if record is not None else None
     return det if isinstance(det, dict) else None
 
@@ -431,7 +479,7 @@ def emit_artifact(
     is folded into ``extra["pulse_footer"]`` so it enters the content
     hash.
     """
-    files: Dict[str, str] = {}  # name -> file text
+    files: Dict[str, Iterable[str]] = {}  # name -> file text chunks
     stats: Dict[str, Any] = {}
     if result is not None:
         stats["timing"] = _plain(result.timing)
@@ -442,28 +490,28 @@ def emit_artifact(
     elif timing is not None:
         stats["timing"] = _plain(timing)
     if stats:
-        files[STATS_NAME] = canonical_json(stats)
+        files[STATS_NAME] = json_chunks(stats)
     if scope is not None:
         scope.finalize()
-        files[WINDOWS_NAME] = canonical_json(scope.fabric.report())
-        files[TRACE_NAME] = scope.tracer.to_jsonl(footer=True)
+        files[WINDOWS_NAME] = json_chunks(scope.fabric.report())
+        files[TRACE_NAME] = scope.tracer.iter_jsonl(footer=True)
         if scope.profiler is not None:
-            files[PROFILE_NAME] = canonical_json(scope.profiler.report())
+            files[PROFILE_NAME] = json_chunks(scope.profiler.report())
     if output is not None:
-        files[OUTPUT_NAME] = output if output.endswith("\n") else output + "\n"
+        files[OUTPUT_NAME] = (
+            output if output.endswith("\n") else output + "\n",)
 
     if pulse is None and scope is not None:
         pulse = getattr(scope, "pulse", None)
     pulse_footer: Optional[Dict[str, Any]] = None
     if pulse is not None:
         if isinstance(pulse, str):
-            with open(pulse) as fh:
-                pulse_text = fh.read()
+            sidecar = functools.partial(file_chunks, pulse)
         else:
             pulse.finalize()
-            pulse_text = pulse.sidecar_text()
-        files[PULSE_NAME] = pulse_text
-        pulse_footer = _pulse_footer_from_text(pulse_text)
+            sidecar = pulse.sidecar_lines
+        files[PULSE_NAME] = sidecar()
+        pulse_footer = _pulse_footer(sidecar())
 
     identity: Dict[str, Any] = {
         "schema": SCHEMA_VERSION,

@@ -28,17 +28,17 @@ makes a capsule a trustworthy record rather than a screenshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
+from repro.observability.events import jsonl_chunks
 from repro.observability.flight.artifact import (
     DEFAULT_ROOT,
     PROFILE_NAME,
     StoreEntry,
     StoreKind,
     _slug,
-    canonical_json,
     entry_manifest,
-    jsonl,
+    json_chunks,
     list_entries,
     load_entry,
     verify_entry,
@@ -146,13 +146,13 @@ def emit_capsule(
         "window": window,
         "baseline": dict(sorted(capture.baseline.items())),
     }
-    files: Dict[str, str] = {
-        CAPSULE_NAME: canonical_json(payload),
-        WINDOW_NAME: jsonl(capture.rows),
-        EVENTS_NAME: jsonl(capture.events),
+    files: Dict[str, Iterable[str]] = {
+        CAPSULE_NAME: json_chunks(payload),
+        WINDOW_NAME: jsonl_chunks(capture.rows),
+        EVENTS_NAME: jsonl_chunks(capture.events),
     }
     if capture.profile is not None:
-        files[PROFILE_NAME] = canonical_json(capture.profile)
+        files[PROFILE_NAME] = json_chunks(capture.profile)
 
     identity: Dict[str, Any] = {
         "schema": CAPSULE_SCHEMA_VERSION,

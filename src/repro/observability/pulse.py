@@ -64,7 +64,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 PULSE_SCHEMA = 1
 PULSE_NAME = "pulse.jsonl"
@@ -420,12 +420,14 @@ class PulseEmitter:
         ``report()`` embeds this."""
         return self.finalize()
 
-    def sidecar_text(self) -> str:
-        """The full JSONL stream (file-backed or in-memory)."""
-        if self.path is not None:
-            with open(self.path) as fh:
-                return fh.read()
-        return "".join(self._lines)
+    def sidecar_lines(self) -> Iterator[str]:
+        """The full JSONL stream, line by line (file-backed or
+        in-memory)."""
+        if self.path is None:
+            yield from self._lines
+            return
+        with open(self.path) as fh:
+            yield from fh
 
 
 # -- stall -> FastWatch time travel -----------------------------------------

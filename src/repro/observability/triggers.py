@@ -34,17 +34,16 @@ generated body instead of being inlined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.timing.core import IDLE_HINT_UNBOUNDED
 
 DEFAULT_MAX_FIRINGS = 10_000
 
 
-@dataclass(frozen=True)
-class TriggerFiring:
-    """One edge-triggered match of a trigger query."""
+class TriggerFiring(NamedTuple):
+    """One edge-triggered match of a trigger query: a flat pair, since
+    a query keeps up to ``max_firings`` of them."""
 
     cycle: int
     value: float

@@ -147,6 +147,12 @@ class Connector(Module):
         if not self.can_push():
             self.bump("push_stalls")
             return False
+        self.put(item)
+        return True
+
+    def put(self, item: Any) -> None:
+        """Push one item without the capacity check: for a producer
+        that has just seen ``can_push()`` return True."""
         self._queue.append((self._now + self.min_latency, item))
         self._pushed_this_cycle += 1
         self.bump("pushes")
@@ -155,7 +161,6 @@ class Connector(Module):
         ):
             if len(self._trace_log) < self._trace_limit:
                 self._trace_log.append((self._now, item))
-        return True
 
     # -- tracing with triggering (section 4.7) -------------------------
 
@@ -250,5 +255,5 @@ class Connector(Module):
 # ``if`` block.
 INLINE_TEMPLATES = {
     name: vars(Connector)[name]
-    for name in ("tick", "can_push", "push", "can_pop", "pop")
+    for name in ("tick", "can_push", "push", "put", "can_pop", "pop")
 }

@@ -34,6 +34,7 @@ from repro.timing.pipeline.dynamic import (
     U_DONE,
     U_ISSUED,
     U_SQUASHED,
+    U_WAITING,
 )
 from repro.timing.pipeline.fastpath import bind_stages, compile_stages
 from repro.timing.pipeline.frontend import (
@@ -85,6 +86,10 @@ class Backend(Module):
 
         self.rob: deque = deque()
         self.rs: List[DynUop] = []
+        # The dep-ready subset of ``rs``, in ``seq`` order: fed at
+        # dispatch (no producer pending) and at writeback (the last
+        # pending producer wrote back), drained by issue.
+        self.ready: List[DynUop] = []
         self.lsq: List[DynUop] = []
         self.in_flight: List[DynUop] = []
         self.reg_producer: Dict[int, DynUop] = {}
@@ -96,12 +101,6 @@ class Backend(Module):
         }
         self._seq = 0
         self._dispatching: Optional[Tuple[DynInstr, int]] = None
-        # True while the reservation station is known to hold no
-        # dep-ready uops.  Readiness only changes on writeback, squash,
-        # or dispatch (a U_DONE producer's done_cycle never exceeds the
-        # cycle that marked it done), so issue skips its scan until one
-        # of those events clears the flag.
-        self._rs_quiet = False
         self.committed_instructions = 0
         self.committed_uops = 0
         self.last_commit_cycle = 0
@@ -187,6 +186,7 @@ class Backend(Module):
                 uop.done_cycle = cycle + 1  # result bus conflict: retry
             self.bump("result_bus_conflicts", overflow)
         written = 0
+        woken = 0
         for uop in finishing[:width]:
             if uop.state == U_SQUASHED:
                 continue  # squashed by a resolution earlier this cycle
@@ -194,14 +194,20 @@ class Backend(Module):
             uop.state = U_DONE
             uop.done_cycle = cycle
             written += 1
+            for waiter in uop.waiters:
+                waiter.pending -= 1
+                if not waiter.pending and waiter.state == U_WAITING:
+                    self.ready.append(waiter)
+                    woken += 1
+            uop.waiters.clear()
             kind = uop.uop.kind
             if kind == UOP_BRANCH or kind == UOP_JUMP:
                 self._resolve_control(uop, cycle)
         if written:
             self.bump("writebacks", written)
-            # Producers just completed: waiting consumers may have
-            # become dep-ready, so the issue scan must run.
-            self._rs_quiet = False
+        if woken:
+            # Woken consumers may be older than µops already ready.
+            self.ready.sort(key=_BY_SEQ)
 
     def _resolve_control(self, uop: DynUop, cycle: int) -> None:
         di = uop.instr
@@ -266,27 +272,11 @@ class Backend(Module):
     # -- issue ---------------------------------------------------------------------
 
     def _issue(self, cycle: int) -> None:
-        rs = self.rs
-        if not rs or self._rs_quiet:
+        ready = self.ready
+        if not ready:
             return
-        issued: List[DynUop] = []
-        ready = 0
-        for uop in rs:
-            # Readiness before unit availability: both checks are pure,
-            # so the order cannot change which µops issue, and a stalled
-            # consumer (the common case while a load is outstanding)
-            # fails on its first dependency instead of scanning units.
-            blocked = False
-            for dep in uop.deps:
-                state = dep.state
-                if state == U_SQUASHED:
-                    continue  # producer squashed: value comes from the map
-                if state != U_DONE or dep.done_cycle > cycle:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            ready += 1
+        issued = 0
+        for uop in ready:
             template = uop.uop
             meta = template.meta or uop_meta(template)
             units = self._units[meta.unit]
@@ -305,22 +295,15 @@ class Backend(Module):
             else:
                 latency = template.lat
             uop.state = U_ISSUED
-            uop.deps.clear()  # read only by the readiness check above
             uop.done_cycle = cycle + latency
             uop.fu = (meta.unit, index)
             units[index] = cycle + (latency if meta.holds_unit else 1)
             self.in_flight.append(uop)
-            issued.append(uop)
+            self.rs.remove(uop)
+            issued += 1
         if issued:
-            for uop in issued:
-                rs.remove(uop)
-            self.bump("issues", len(issued))
-        elif not ready:
-            # Every entry failed its dependency check, and only a
-            # writeback, squash or dispatch can change that: skip the
-            # scan until one clears the flag.  (Unit availability does
-            # not matter: no µop got that far.)
-            self._rs_quiet = True
+            self.ready = [uop for uop in ready if uop.state == U_WAITING]
+            self.bump("issues", issued)
 
     def _issue_load(self, uop: DynUop) -> int:
         """Load execution: store-to-load forwarding, else the blocking
@@ -379,13 +362,19 @@ class Backend(Module):
             dyn = DynUop(self._seq, di, uop, is_last=is_last)
             for reg in meta.sources:
                 producer = self.reg_producer.get(reg)
-                if producer is not None and producer.state != U_SQUASHED:
-                    dyn.deps.append(producer)
+                # A waiting or executing producer wakes this µop at its
+                # writeback; a done or squashed one has left its value
+                # in the register file.
+                if producer is not None and producer.state < U_DONE:
+                    dyn.pending += 1
+                    producer.waiters.append(dyn)
             for reg in meta.destinations:
                 self.reg_producer[reg] = dyn
             di.last_seq = dyn.seq
             self.rob.append(dyn)
             self.rs.append(dyn)
+            if not dyn.pending:
+                self.ready.append(dyn)  # the newest seq: order holds
             if meta.is_mem:
                 self.lsq.append(dyn)
             budget -= 1
@@ -393,9 +382,6 @@ class Backend(Module):
         dispatched = self.dispatch_width - budget
         if dispatched:
             self.bump("dispatched_uops", dispatched)
-            # Fresh µops may be ready at once (operands already in the
-            # register file): rescan next cycle.
-            self._rs_quiet = False
 
     # -- squash -----------------------------------------------------------------------
 
@@ -412,6 +398,7 @@ class Backend(Module):
                     squashed_controls += 1
             self.bump("squashed_uops")
         self.rs = []
+        self.ready = []
         self.lsq = []
         for uop in self.in_flight:
             uop.state = U_SQUASHED
@@ -421,7 +408,6 @@ class Backend(Module):
         self.in_flight = []
         self.reg_producer.clear()
         self._dispatching = None
-        self._rs_quiet = False
         self.frontend.branches_squashed(squashed_controls)
 
     def squash_younger(self, di: DynInstr, cycle: int) -> None:
@@ -438,6 +424,7 @@ class Backend(Module):
                     squashed_controls += 1
             self.bump("squashed_uops")
         self.rs = [u for u in self.rs if u.seq <= boundary]
+        self.ready = [u for u in self.ready if u.seq <= boundary]
         self.lsq = [u for u in self.lsq if u.seq <= boundary]
         for uop in self.in_flight:
             if uop.seq > boundary:
@@ -458,7 +445,6 @@ class Backend(Module):
                 if pending_di.is_control and not pending_di.resolved:
                     squashed_controls += 1
             self._dispatching = None
-        self._rs_quiet = False
         self.frontend.branches_squashed(squashed_controls)
 
 

@@ -3,10 +3,11 @@
 Lifetime rule: the records form no reference cycle, so a retired or
 squashed record is freed by reference counting as soon as the pipeline
 drops it.  ``DynUop.instr`` is the only back edge (a DynInstr names its
-µops by ``last_seq``, not by reference), and a µop's producer links
-(``deps``) are emptied when it issues, since only the reservation
-station's readiness check reads them.  Live records are therefore
-bounded by the ROB, the queues and the register map.
+µops by ``last_seq``, not by reference).  Between µops the links run
+one way, producer to consumer: a producer lists the consumers it must
+wake (``waiters``, emptied at its writeback) and a consumer keeps only
+a count of the producers it waits for (``pending``).  Live records are
+therefore bounded by the ROB, the queues and the register map.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class DynUop:
         "instr",
         "uop",
         "state",
-        "deps",
+        "pending",
+        "waiters",
         "done_cycle",
         "is_last",
         "mem_paddr",
@@ -90,7 +92,8 @@ class DynUop:
         self.instr = instr
         self.uop = uop
         self.state = U_WAITING
-        self.deps: List["DynUop"] = []  # producers; emptied at issue
+        self.pending = 0  # producers not yet written back
+        self.waiters: List["DynUop"] = []  # consumers; emptied at writeback
         self.done_cycle = -1
         self.is_last = is_last
         self.mem_paddr = instr.entry.mem_paddr if uop.is_mem else -1

@@ -18,8 +18,8 @@ returns the stage's closure.  Four mechanical rewrites, and no others:
    class-level annotation (``fetch_q: Connector``), which the bind
    checks against the instance.  Everything else -- what squash paths
    and memo rotation rebind (``rs``, ``lsq``, ``in_flight``,
-   ``on_instr_commit``, ``_crack_memo``, ``_dispatching``,
-   ``_rs_quiet``) and the mode scalars -- is re-read at each use.
+   ``on_instr_commit``, ``_crack_memo``, ``_dispatching``, ``ready``)
+   and the mode scalars -- is re-read at each use.
 2. **Counters.**  ``x.bump(k[, n])`` becomes an inline update of
    ``x``'s counter dict.
 3. **Connectors.**  A Connector method call becomes the source of that

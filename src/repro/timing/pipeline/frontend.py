@@ -167,8 +167,8 @@ class Frontend(Module):
         return bind_stages(self)
 
     def tick(self, cycle: int) -> None:
-        self.fetch_q.tick(cycle)
-        self.decode_q.tick(cycle)
+        # Both engines clock every Connector (fetch_q and decode_q
+        # included) before any unit each cycle.
         self.idle_this_cycle = False
         self._decode(cycle)
         self._fetch(cycle)
@@ -203,7 +203,7 @@ class Frontend(Module):
                 uops = self._crack(entry, instr, key)
                 memo = self._crack_memo  # may have rotated
             di.uops_template = uops  # consumed by dispatch
-            self.decode_q.push(di)
+            self.decode_q.put(di)  # can_push() checked above
             decoded += 1
         if decoded:
             self.bump("decoded", decoded)
@@ -321,7 +321,7 @@ class Frontend(Module):
                 di.is_barrier = True
                 self.mode = F_HALTED
                 self.bump("barrier_fetches")
-            self.fetch_q.push(di)
+            self.fetch_q.put(di)  # can_push() checked above
             if entry.wrong_path:
                 wrong_path += 1
             fetched += 1

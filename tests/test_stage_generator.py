@@ -2,15 +2,15 @@
 it compiles the reference stage methods themselves, so an edit to a
 method reaches both engines, a Connector call it cannot inline fails
 the bind, declared-stable attributes really are bound once, tracebacks
-point at the reference source, and the reservation-station quiescence
-skip it inherits from the reference stays invisible in the results."""
+point at the reference source, and the per-cycle state the stages keep
+(dispatch's pop budget, the issue stage's ready list) matches the
+reference on both engines."""
 
 import ast
 import importlib.util
 import inspect
 import textwrap
 import traceback
-from dataclasses import asdict
 
 import pytest
 
@@ -20,12 +20,14 @@ from repro.functional.model import FunctionalModel
 from repro.fuzz.generator import generate_program
 from repro.fuzz.oracle import OracleCell, OracleConfig, run_cell
 from repro.isa.program import ProgramImage
+from repro.microcode.uop import uop_meta
 from repro.system.bus import build_standard_system
 from repro.timing.connector import Connector
 from repro.timing.core import TimingConfig, TimingModel
 from repro.timing.feed import NullFeed
 from repro.timing.module import Module
 from repro.timing.pipeline.backend import Backend
+from repro.timing.pipeline.dynamic import U_DONE, U_SQUASHED
 from repro.timing.pipeline.fastpath import StageBindError
 from repro.timing.pipeline.frontend import Frontend
 from repro.workloads import build
@@ -145,62 +147,102 @@ def test_divergence_traceback_points_at_frontend_source():
     assert innermost.line.startswith("raise AssertionError")
 
 
-# -- the reservation-station quiescence skip ----------------------------
+# -- per-cycle state the stages leave behind ---------------------------
 
 
-class _QuietPinnedOff:
-    """``Backend._rs_quiet`` that always reads False: issue scans the
-    reservation station every cycle."""
-
-    def __get__(self, obj, owner=None):
-        return False
-
-    def __set__(self, obj, value):
-        pass
-
-
-class _QuietCounted:
-    """``Backend._rs_quiet`` as usual, counting how often a barren scan
-    raises it (so the comparison is known to exercise the skip)."""
-
-    def __init__(self):
-        self.raised = 0
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        return obj.__dict__.get("_rs_quiet_flag", False)
-
-    def __set__(self, obj, value):
-        self.raised += bool(value)
-        obj.__dict__["_rs_quiet_flag"] = value
+@pytest.mark.parametrize("engine", ENGINES)
+def test_decode_queue_keeps_dispatch_pops(engine):
+    # The engines clock the Connectors before the stages, so nothing
+    # resets decode_q's budget after dispatch has drawn on it.
+    memory, bus, *_ = build_standard_system(memory_size=1 << 22)
+    fm = FunctionalModel(memory=memory, bus=bus)
+    fm.load(ProgramImage.from_assembly("t", chain_program(40, False),
+                                       base=0x1000))
+    tm = TimingModel(LockStepFeed(fm), microcode=fm.microcode,
+                     config=TimingConfig(predictor="perfect", engine=engine))
+    decode_q = tm.frontend.decode_q
+    busy = 0
+    while not (fm.state.halted and tm.drained):
+        pops = decode_q.counter("pops")
+        tm.tick()
+        popped = decode_q.counter("pops") - pops  # all by dispatch
+        assert decode_q._popped_this_cycle == popped, tm.cycle
+        busy += popped > 0
+    assert busy > 0
 
 
-def _mcf_stats(engine):
+class _ReadyOracle:
+    """A cycle listener asserting that ``Backend.ready`` is the dep-ready
+    filter of ``rs``, in order.  Dependencies come from a shadow rename
+    map fed with every µop as it enters the ROB; a µop is dep-ready when
+    each producer it read from is done or squashed."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.rename = {}  # register -> newest dispatched producer
+        self.producers = {}  # seq of an rs µop -> its producers
+        self.newest = 0
+        self.cycles = 0
+        self.waiting = 0  # µop-cycles spent in rs but not ready
+
+    def __call__(self, cycle):
+        backend = self.backend
+        fresh = []
+        for uop in reversed(backend.rob):
+            if uop.seq <= self.newest:
+                break
+            fresh.append(uop)
+        for uop in reversed(fresh):
+            meta = uop_meta(uop.uop)
+            self.producers[uop.seq] = [self.rename[reg] for reg in meta.sources
+                                       if reg in self.rename]
+            for reg in meta.destinations:
+                self.rename[reg] = uop
+            self.newest = uop.seq
+        self.producers = {uop.seq: self.producers[uop.seq]
+                          for uop in backend.rs}
+        expected = [
+            uop for uop in backend.rs
+            if all(p.state in (U_DONE, U_SQUASHED)
+                   for p in self.producers[uop.seq])
+        ]
+        assert [u.seq for u in backend.ready] == \
+            [u.seq for u in expected], cycle
+        self.cycles += 1
+        self.waiting += len(backend.rs) - len(expected)
+
+
+def _mcf_run(engine):
     workload = build("181.mcf", scale=1)
-    sim = FastSimulator.from_programs(
+    FastSimulator.from_programs(
         workload.programs, kernel_config=workload.kernel_config,
         timing_config=TimingConfig(engine=engine),
-    )
-    return asdict(sim.run().timing)
+    ).run()
 
 
-def _fuzz_stats(engine):
-    # Seed 8 is a generated program whose issue scans go barren.
+def _fuzz_run(engine):
+    # Seed 8 is a generated program whose consumers wait on loads.
     program = generate_program(8)
     result = run_cell(program.source(), program.base,
                       OracleCell(engine, "tb", "instr"), OracleConfig())
     assert result.status == "ok"
-    return result.stats
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("run", [_mcf_stats, _fuzz_stats],
+@pytest.mark.parametrize("run", [_mcf_run, _fuzz_run],
                          ids=["181.mcf", "fuzz"])
-def test_rs_quiet_skip_changes_no_stat(engine, run, monkeypatch):
-    counted = _QuietCounted()
-    monkeypatch.setattr(Backend, "_rs_quiet", counted, raising=False)
-    normal = run(engine)
-    assert counted.raised > 0
-    monkeypatch.setattr(Backend, "_rs_quiet", _QuietPinnedOff())
-    assert run(engine) == normal
+def test_ready_list_is_the_dep_ready_filter_of_rs(engine, run,
+                                                  monkeypatch):
+    oracles = []
+    init = TimingModel.__init__
+
+    def armed_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        oracles.append(_ReadyOracle(self.backend))
+        # Hintless: the oracle must see every cycle.
+        self.add_cycle_listener(oracles[-1])  # fastlint: ignore[ST003]
+
+    monkeypatch.setattr(TimingModel, "__init__", armed_init)
+    run(engine)
+    assert oracles and all(oracle.cycles > 0 for oracle in oracles)
+    assert sum(oracle.waiting for oracle in oracles) > 0
