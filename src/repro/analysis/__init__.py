@@ -17,9 +17,9 @@ Five passes, one diagnostic model:
 * :func:`lint_determinism` -- AST scan of simulator sources, rules
   ``DT001-DT004``;
 * :func:`lint_stat_registry` / stat-source lint -- statistics fabric,
-  rules ``ST001-ST004``;
+  rules ``ST001-ST003``;
 * :mod:`repro.analysis.watch_rules` -- invariant fabric, rules
-  ``IV001-IV003`` (plus ``IG001`` for unused ``# fastlint: ignore``
+  ``IV001-IV002`` (plus ``IG001`` for unused ``# fastlint: ignore``
   escapes when every AST pass runs).
 
 ``python -m repro lint`` runs all five against the default targets.

@@ -8,9 +8,8 @@ Runs the five FastLint passes against the default targets:
 3. determinism lint over the ``repro`` package sources;
 4. statistics-fabric lint (ST001-ST003): the same default cores'
    stat registries plus an AST pass over the sources;
-5. invariant-fabric lint (IV001-IV003): FastWatch registration
-   placement, check-closure purity and idle-hint coverage over the
-   sources.
+5. invariant-fabric lint (IV001-IV002): FastWatch registration
+   placement and check-closure purity over the sources.
 
 The AST passes share one :class:`~repro.analysis.suppress.
 SuppressionTracker`, so a ``# fastlint: ignore[RULE]`` escape is

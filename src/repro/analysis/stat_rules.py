@@ -22,14 +22,9 @@ ST003    warning    per-cycle listeners registered without an idle hint --
                     ``add_cycle_listener(...)`` call with no ``idle_hint``
                     -- which pins the compiled engine to single-stepping
                     for the whole run
-ST004    warning    a ``PulseEmitter(...)`` constructed with a truthy (or
-                    dynamic) ``single_step`` argument: the emitter then
-                    registers its listener hintless, which is ST003 one
-                    constructor-frame removed -- the telemetry plane
-                    silently forfeits idle fast-forward
 =======  =========  ==========================================================
 
-ST001 is structural (walks a built module tree); ST002/ST003/ST004 parse
+ST001 is structural (walks a built module tree); ST002/ST003 parse
 the sources (AST only, no execution), reusing the determinism pass's
 ``# fastlint: ignore[STnnn]`` escape hatch.
 """
@@ -95,44 +90,8 @@ def lint_stat_registry(root: Module) -> Report:
 class _StatChecker(SourceChecker):
     error_rule = "ST000"
 
-    def _check_pulse_emitter(self, node: ast.Call) -> None:
-        # ST004: PulseEmitter(single_step=...) with anything but a
-        # literal False.  single_step routes registration around the
-        # idle-hint path, so it inherits ST003's single-stepping cost
-        # without tripping ST003 (the hintless call lives inside the
-        # constructor, behind the flag).
-        for kw in node.keywords:
-            if kw.arg != "single_step":
-                continue
-            value = kw.value
-            if isinstance(value, ast.Constant) and not value.value:
-                return
-            certain = isinstance(value, ast.Constant)
-            self._add(
-                "ST004",
-                Severity.WARNING,
-                node,
-                "PulseEmitter constructed with %s single_step: the "
-                "emitter registers its cycle listener without an idle "
-                "hint, pinning the compiled engine to single-stepping "
-                "while telemetry is armed" % (
-                    "a truthy" if certain else "a dynamic"
-                ),
-                hint="drop single_step (the cadence hint samples the "
-                "same cycles) or suppress with "
-                "# fastlint: ignore[ST004] where the single-stepping "
-                "is deliberate diagnostics",
-            )
-
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        callee = None
-        if isinstance(func, ast.Name):
-            callee = func.id
-        elif isinstance(func, ast.Attribute):
-            callee = func.attr
-        if callee == "PulseEmitter":
-            self._check_pulse_emitter(node)
         if isinstance(func, ast.Attribute):
             # ST002: registration outside construction.
             if (

@@ -20,11 +20,6 @@ IV002    error      invariant ``check`` closure with side effects -- an
                     monitor runs checks on every executed cycle of both
                     engines; an impure check perturbs the run and breaks
                     the determinism contract
-IV003    warning    always-on invariant declared without an idle hint:
-                    the monitor must then register its cycle listener
-                    hintless, which pins the compiled engine to
-                    single-stepping and blows the <= 1.10x observability
-                    budget (mirror of ST003)
 =======  =========  ==========================================================
 
 AST only, no execution; shares the ``# fastlint: ignore[IVnnn]`` escape
@@ -201,32 +196,13 @@ class _WatchChecker(SourceChecker):
                         "module state; record/probe values through the "
                         "invariant's probe= instead",
                     )
-            # IV003: hintless always-on invariant.
-            hint_value = keywords.get("hint")
-            hintless = "hint" not in keywords or (
-                isinstance(hint_value, ast.Constant)
-                and hint_value.value is None
-            )
-            if func.attr == "new_invariant" and hintless:
-                self._add(
-                    "IV003",
-                    Severity.WARNING,
-                    node,
-                    "new_invariant() without an idle hint: arming this "
-                    "invariant registers the monitor's cycle listener "
-                    "hintless, pinning the compiled engine to "
-                    "single-stepping for the whole run",
-                    hint="declare hint=\"idle-stable\" for structural "
-                    "bounds (idle cycles advance no pipeline state), or "
-                    "an explicit cycle bound / callable",
-                )
         self.generic_visit(node)
 
 
 def lint_watch_source(source: str, filename: str = "<string>",
                       suppressions: Optional[FileSuppressions] = None,
                       ) -> Report:
-    """Run IV001-IV003 over one Python source string."""
+    """Run IV001-IV002 over one Python source string."""
     return _WatchChecker.lint_source(source, filename, suppressions)
 
 
@@ -234,6 +210,6 @@ def lint_watch_sources(
     paths: Optional[Sequence[str]] = None,
     tracker: Optional[SuppressionTracker] = None,
 ) -> Report:
-    """IV001-IV003 over Python files/directories; defaults to the
+    """IV001-IV002 over Python files/directories; defaults to the
     installed ``repro`` package sources."""
     return _WatchChecker.lint_paths(paths, tracker)

@@ -111,7 +111,6 @@ class TraceBufferFeed(InstructionFeed, Module):
             check=lambda: self.fm.in_count - self._last_committed
             <= self._capacity_limit,
             expr="m.fm.in_count - m._last_committed <= m._capacity_limit",
-            hint="idle-stable",
             probe=self._occupancy_probe,
             desc="uncommitted trace-buffer entries never exceed the "
                  "configured depth")
@@ -119,7 +118,6 @@ class TraceBufferFeed(InstructionFeed, Module):
             "fm_tm_lockstep",
             check=lambda: 0 <= self._last_committed <= self.fm.in_count,
             expr="0 <= m._last_committed <= m.fm.in_count",
-            hint="idle-stable",
             probe=lambda: float(self._last_committed),
             desc="TM commit notifications never run ahead of the FM's "
                  "instruction count (no leaked trace-buffer credit)")
@@ -131,7 +129,6 @@ class TraceBufferFeed(InstructionFeed, Module):
                  " <= m.fm.ckpt._checkpoints[-1].in_no"
                  " and m.fm.ckpt._checkpoints[0].in_no"
                  " <= m._last_committed + m._ckpt_window)",
-            hint="idle-stable",
             probe=self._ckpt_probe,
             desc="the checkpoint grid stays monotone and the oldest "
                  "live checkpoint covers every uncommitted rollback "

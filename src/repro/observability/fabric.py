@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.timing.core import IDLE_HINT_UNBOUNDED
+from repro.timing.core import unbounded_idle_hint
 from repro.timing.module import Gauge, Module
 
 DEFAULT_WINDOW_CYCLES = 65536
@@ -101,7 +101,9 @@ class StatsFabric:
         self._boundaries_closed = 0
         self._next_boundary = tm.cycle + window_cycles
         self._finalized = False
-        tm.add_cycle_listener(self._on_cycle, idle_hint=self._idle_hint)
+        # "Skip as far as you can": boundary crossings inside a skipped
+        # span are reconstructed retroactively as elided windows.
+        tm.add_cycle_listener(self._on_cycle, idle_hint=unbounded_idle_hint)
 
     # -- collection ------------------------------------------------------
 
@@ -135,13 +137,6 @@ class StatsFabric:
         return out
 
     # -- the per-cycle listener ------------------------------------------
-
-    def _idle_hint(self, cycle: int) -> int:
-        # "Skip as far as you can": sound because a quiescent machine
-        # executes no module ticks, so no registered stream can change
-        # value; boundary crossings are reconstructed retroactively as
-        # elided windows.
-        return IDLE_HINT_UNBOUNDED
 
     def _on_cycle(self, cycle: int) -> None:
         # Hot path: one compare per executed cycle.

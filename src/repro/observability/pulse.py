@@ -71,7 +71,7 @@ PULSE_NAME = "pulse.jsonl"
 DEFAULT_PULSE_DIR = os.path.join("results", "pulse")
 DEFAULT_INTERVAL_CYCLES = 50_000
 DEFAULT_STALL_CYCLES = 250_000
-DEFAULT_HEARTBEAT_S = 1.0
+HEARTBEAT_S = 1.0  # off-cadence heartbeat period for live readers
 DEFAULT_HEARTBEAT_TIMEOUT = 5.0
 
 HEADER_KIND = "pulse_header"
@@ -145,9 +145,7 @@ class PulseEmitter:
     Arm *before* ``run()``.  With *path* the sidecar is written (and
     flushed) live; without, records accumulate in memory (the fuzz
     oracle's mode).  The listener registers with an idle hint derived
-    from the cadence -- idle spans batch up to the next due sample --
-    unless *single_step* forces hintless registration (FastLint flags
-    that: rule ST004).
+    from the cadence: idle spans batch up to the next due sample.
     """
 
     def __init__(
@@ -159,10 +157,8 @@ class PulseEmitter:
         interval_cycles: int = DEFAULT_INTERVAL_CYCLES,
         horizon: Optional[int] = None,
         min_wall_s: float = 0.0,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         monitor=None,
         watchdog: Optional[LivenessWatchdog] = None,
-        single_step: bool = False,
     ):
         if interval_cycles < 1:
             raise ValueError("interval_cycles must be >= 1")
@@ -173,7 +169,6 @@ class PulseEmitter:
         self.interval_cycles = int(interval_cycles)
         self.horizon = horizon
         self.min_wall_s = float(min_wall_s)
-        self.heartbeat_s = float(heartbeat_s)
         self.monitor = monitor
         self.watchdog = watchdog
         self._seq = 0
@@ -200,10 +195,7 @@ class PulseEmitter:
                 os.makedirs(parent, exist_ok=True)
             self._fh = open(path, "w")
         self._write_header()
-        if single_step:
-            tm.add_cycle_listener(self._on_cycle)  # fastlint: ignore[ST003]
-        else:
-            tm.add_cycle_listener(self._on_cycle, idle_hint=self._idle_hint)
+        tm.add_cycle_listener(self._on_cycle, idle_hint=self._idle_hint)
 
     # -- the listener seam ----------------------------------------------
 
@@ -309,7 +301,7 @@ class PulseEmitter:
         if self._fh is None:
             return
         now_pc = time.perf_counter()  # fastlint: ignore[DT002]
-        if now_pc - self._last_write_t < self.heartbeat_s:
+        if now_pc - self._last_write_t < HEARTBEAT_S:
             return
         # Off-cadence heartbeat: same shape as a pulse record but
         # outside the deterministic stream (sample=null, never hashed).
@@ -342,7 +334,7 @@ class PulseEmitter:
             "ts": round(time.time(), 3),  # fastlint: ignore[DT002]
             "pid": os.getpid(),
             "min_wall_s": self.min_wall_s,
-            "heartbeat_s": self.heartbeat_s,
+            "heartbeat_s": HEARTBEAT_S,
         }
         self._write_record(HEADER_KIND, det, host)
 

@@ -164,7 +164,7 @@ def _run(args) -> int:
         DEFAULT_PULSE_DIR, "%s.jsonl" % workload.name
     )
     monitor = InvariantMonitor(sim.tm, extra_roots=(sim.feed,))
-    emitter = PulseEmitter(  # fastlint: ignore[ST004]
+    emitter = PulseEmitter(
         sim.tm,
         feed=sim.feed,
         path=sidecar,
@@ -174,7 +174,6 @@ def _run(args) -> int:
         min_wall_s=args.min_wall_s,
         monitor=monitor,
         watchdog=LivenessWatchdog(no_commit_cycles=args.stall_cycles),
-        single_step=args.single_step,
     )
     result = sim.run(args.max_cycles)
     footer = emitter.finalize()
@@ -250,9 +249,6 @@ def pulse_main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--scale", type=int, default=1,
                        help="workload scale factor for suite workloads "
                        "(default %(default)s; ignored by linux-boot)")
-    run_p.add_argument("--single-step", action="store_true",
-                       help="register the emitter without an idle hint "
-                       "(disables idle fast-forward; diagnostic only)")
     run_p.add_argument("--artifact", action="store_true",
                        help="adopt the sidecar into a FastFlight run "
                        "artifact under results/runs/")

@@ -5,20 +5,20 @@ units drop below 1?', can continuously run in hardware at full speed."
 (paper section 3)
 
 A bare listener appended to ``tm.cycle_listeners`` disables the
-compiled engine's idle fast-forward entirely, because a hintless
-listener may need to observe *every* cycle.  :class:`CompiledTriggerQuery`
+compiled engine's idle fast-forward entirely, because a listener without
+a hint may need to observe *every* cycle.  :class:`CompiledTriggerQuery`
 is the engine-aware query: it registers through
 ``tm.add_cycle_listener`` **with an idle hint** (FastLint rule ST003
 flags the bare-append pattern).
 
-The default hint is unbounded, and that is sound for the common case:
-a probe that reads only module state (queue occupancy, ROB depth,
-busy-unit counts) cannot change value across a quiescent span, because
-no module executes a step inside one.  The condition is evaluated on
-the cycle the span starts from and again on the waking cycle, which is
-exactly the set of cycles on which its value can differ.  A probe that
-depends on the cycle number itself must pass an explicit *idle_hint*
-(or ``single_step=True``) instead.
+The hint is the unbounded one every module-state observer shares, and
+that is sound: a probe that reads only module state (queue occupancy,
+ROB depth, busy-unit counts) cannot change value across a quiescent
+span, because no module executes a step inside one.  The condition is
+evaluated on the cycle the span starts from and again on the waking
+cycle, which is exactly the set of cycles on which its value can
+differ.  A probe that depends on the cycle number itself must pass
+``single_step=True`` instead.
 
 The per-cycle listener is *compiled*, the same exec-codegen move the
 engine makes for the pipeline stages it generates from their reference
@@ -36,14 +36,15 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.timing.core import IDLE_HINT_UNBOUNDED
+from repro.timing.core import unbounded_idle_hint
 
-DEFAULT_MAX_FIRINGS = 10_000
+# Firings kept per query: all that report() emits and first_fired reads
+# (fire_count keeps counting).
+KEPT_FIRINGS = 64
 
 
 class TriggerFiring(NamedTuple):
-    """One edge-triggered match of a trigger query: a flat pair, since
-    a query keeps up to ``max_firings`` of them."""
+    """One edge-triggered match of a trigger query."""
 
     cycle: int
     value: float
@@ -65,37 +66,24 @@ class CompiledTriggerQuery:
         name: str,
         probe: Callable[[], float],
         condition: Callable[[float], bool],
-        idle_hint: Optional[Callable[[int], int]] = None,
         single_step: bool = False,
-        max_firings: int = DEFAULT_MAX_FIRINGS,
         _compare: Optional[Tuple[str, float]] = None,
     ):
         self.tm = tm
         self.name = name
         self.probe = probe
         self.condition = condition
-        self.max_firings = max_firings
         self.firings: List[TriggerFiring] = []
         self.fire_count = 0
         self._armed = True
         self._compare = _compare
-        if single_step:
-            # The caller's probe is cycle-dependent: evaluate every
-            # cycle, accepting that idle fast-forward is disabled.
-            hint = self._hint_zero
-        elif idle_hint is not None:
-            hint = idle_hint
-        else:
-            hint = self._hint_unbounded
-        tm.add_cycle_listener(self._compile_listener(), idle_hint=hint)
-
-    @staticmethod
-    def _hint_unbounded(cycle: int) -> int:
-        return IDLE_HINT_UNBOUNDED
-
-    @staticmethod
-    def _hint_zero(cycle: int) -> int:
-        return 0
+        # A single-step query's probe is cycle-dependent: registered
+        # without a hint, it is evaluated on every cycle, accepting that
+        # idle fast-forward is disabled.
+        tm.add_cycle_listener(
+            self._compile_listener(),
+            idle_hint=None if single_step else unbounded_idle_hint,
+        )
 
     def _compile_listener(self) -> Callable[[int], None]:
         """Generate the per-cycle hook with the probe and comparison
@@ -144,7 +132,7 @@ class CompiledTriggerQuery:
         the condition goes false again."""
         self._armed = False
         self.fire_count += 1
-        if len(self.firings) < self.max_firings:
+        if len(self.firings) < KEPT_FIRINGS:
             self.firings.append(TriggerFiring(cycle, float(value)))
 
     @property
@@ -158,7 +146,7 @@ class CompiledTriggerQuery:
             "first_fired": self.first_fired,
             "firings": [
                 {"cycle": f.cycle, "value": f.value}
-                for f in self.firings[:64]
+                for f in self.firings
             ],
         }
 

@@ -13,8 +13,8 @@ Modules declare invariants at construction time with
 :meth:`~repro.timing.module.Module.new_invariant`, exactly parallel to
 their FastScope stats.  :class:`InvariantMonitor` walks the module
 roots, compiles every registered invariant into one per-cycle probe and
-subscribes it as a cycle listener on both tick engines -- with an idle
-hint derived from the invariants' own declarations, so the compiled
+subscribes it as a cycle listener on both tick engines -- with the
+unbounded idle hint every module-state observer shares, so the compiled
 engine's idle fast-forward (and with it the <= 1.10x observability
 budget) survives arming.
 
@@ -35,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.timing.core import IDLE_HINT_UNBOUNDED
+from repro.timing.core import unbounded_idle_hint
 from repro.timing.module import Invariant, Module
 
-# The hint value Module.new_invariant documents for "cannot change
-# during a quiescent span" -- the common case for structural bounds,
-# since idle cycles advance no pipeline state.
-IDLE_STABLE = "idle-stable"
+# Violations kept for the report (the firing count keeps climbing).
+MAX_VIOLATIONS = 256
+# The storm limit: an invariant that fires this often stops being
+# recorded.
+MAX_FIRINGS_PER_INVARIANT = 64
 
 
 @dataclass(frozen=True)
@@ -88,18 +89,6 @@ class _Watch:
         self.firings = 0
 
 
-def _resolve_hint(hint) -> Optional[int]:
-    """An invariant hint as a static idle-span bound, or None for a
-    hintless (single-step-pinning) invariant."""
-    if hint is None:
-        return None
-    if hint == IDLE_STABLE:
-        return IDLE_HINT_UNBOUNDED
-    if callable(hint):
-        return int(hint())
-    return int(hint)
-
-
 def _compile_fused(watches: List[_Watch]) -> Callable[[], bool]:
     """Fuse every watch into one ``lambda: (...) and (...) and ...``.
 
@@ -112,8 +101,6 @@ def _compile_fused(watches: List[_Watch]) -> Callable[[], bool]:
     ``check`` closure inside the chain.
     """
     parts, namespace = _fused_parts(watches)
-    if not parts:
-        return lambda: True
     return eval("lambda: " + " and ".join(parts), namespace)
 
 
@@ -154,15 +141,11 @@ def _compile_listener(watches: List[_Watch], monitor) -> Callable[[int], None]:
     One Python call per executed cycle on the healthy path -- the
     conjunction evaluates inline instead of through a separate
     ``self._fused()`` call, and the only attribute the fast path
-    touches is the stale-edge flag.  Fall back to the bound method
-    (``InvariantMonitor._on_cycle``) for selfcheck mode, which needs
-    the authoritative check closures every cycle.
+    touches is the stale-edge flag.  Selfcheck mode, which needs the
+    authoritative check closures every cycle, subscribes
+    ``InvariantMonitor._on_cycle`` instead.
     """
     parts, namespace = _fused_parts(watches)
-    if not parts:
-        fused_src = "True"
-    else:
-        fused_src = " and ".join(parts)
     namespace["_mon"] = monitor
     source = (
         "def _listener(cycle):\n"
@@ -170,7 +153,7 @@ def _compile_listener(watches: List[_Watch], monitor) -> Callable[[int], None]:
         "        if _mon._any_active:\n"
         "            _mon._clear_active()\n"
         "        return\n"
-        "    _mon._scan(cycle)\n" % fused_src
+        "    _mon._scan(cycle)\n" % " and ".join(parts)
     )
     exec(source, namespace)
     return namespace["_listener"]
@@ -181,38 +164,23 @@ class InvariantMonitor:
 
     Parallel to :class:`~repro.observability.fabric.StatsFabric`: walk
     ``(tm,) + extra_roots``, collect the typed invariants, compile them
-    into one cycle listener and subscribe it with the combined idle
+    into one cycle listener and subscribe it with the unbounded idle
     hint.  Checks run after every executed target cycle, on both the
     legacy and compiled engines (both run the cycle-listener hook after
     their per-cycle steps).
 
     Firings are edge-triggered -- a persistently-false invariant records
     one :class:`Violation` at the first failing cycle, and re-arms only
-    after the check holds again.  ``on_violation``, if given, is called
-    with each fresh Violation (the debug-capture hook).
+    after the check holds again.  An invariant that fires
+    :data:`MAX_FIRINGS_PER_INVARIANT` times stops being recorded.
     """
 
-    def __init__(
-        self,
-        tm,
-        extra_roots: Tuple = (),
-        max_violations: int = 256,
-        max_firings_per_invariant: int = 64,
-        on_violation: Optional[Callable[[Violation], None]] = None,
-        selfcheck: bool = False,
-    ):
+    def __init__(self, tm, extra_roots: Tuple = (), selfcheck: bool = False):
         self.tm = tm
-        self.max_violations = max_violations
-        self.max_firings_per_invariant = max_firings_per_invariant
-        self.on_violation = on_violation
-        self.selfcheck = selfcheck
         self.violations: List[Violation] = []
         self.firings = 0
-        self.hintless: List[str] = []
 
         watches: List[_Watch] = []
-        min_hint: int = IDLE_HINT_UNBOUNDED
-        pinned = False
         roots = (tm,) + tuple(
             root for root in extra_roots if isinstance(root, Module)
         )
@@ -220,52 +188,31 @@ class InvariantMonitor:
             for path, module in root.walk_paths():
                 for invariant in module._invariants.values():
                     watches.append(_Watch(path, invariant, module))
-                    bound = _resolve_hint(invariant.hint)
-                    if bound is None:
-                        pinned = True
-                        self.hintless.append(path + "/" + invariant.name)
-                    elif bound < min_hint:
-                        min_hint = bound
+        # The listener is compiled once over every watch; the storm
+        # limit only shrinks _watches, the set still recorded.
         self._watches = watches
-        self._idle_bound = min_hint
         self._any_active = False
-        self._fused = _compile_fused(watches)
-        # The compiled listener needs re-compiling when the watch set
-        # changes (storm limit); that swap goes through
-        # tm.replace_cycle_listener, so a tm without the primitive
-        # (test doubles) falls back to the dynamic bound method, as
-        # does selfcheck mode.
-        self._listener: Optional[Callable[[int], None]] = None
-        if not selfcheck and hasattr(tm, "replace_cycle_listener"):
-            self._listener = _compile_listener(watches, self)
-        hook = self._listener if self._listener is not None else self._on_cycle
         if watches:
-            if pinned:
-                # A hintless invariant (FastLint rule IV003) pins the
-                # engine to single-cycle stepping: register without a
-                # hint, which disables idle fast-forward entirely.
-                tm.add_cycle_listener(hook)  # fastlint: ignore[ST003]
+            if selfcheck:
+                self._probed = tuple(watches)
+                self._fused = _compile_fused(watches)
+                hook = self._on_cycle
             else:
-                tm.add_cycle_listener(hook, idle_hint=self._idle_hint)
+                hook = _compile_listener(watches, self)
+            tm.add_cycle_listener(hook, idle_hint=unbounded_idle_hint)
 
     # -- hot path --------------------------------------------------------
 
-    def _idle_hint(self, cycle: int) -> int:
-        # Sound because every armed invariant declared an idle bound:
-        # within the span none of their checks can change value.
-        return self._idle_bound
-
     def _on_cycle(self, cycle: int) -> None:
-        if self.selfcheck and self._fused() != all(
-            w.check() for w in self._watches
-        ):
+        """The selfcheck listener: the fused probe, cross-validated
+        against the authoritative check closures every cycle."""
+        holds = self._fused()
+        if holds != all(w.check() for w in self._probed):
             raise AssertionError(
                 "fused invariant probe disagrees with the check closures "
                 "at cycle %d: some expr= drifted from its check=" % cycle
             )
-        if self._fused():
-            # Fast path: every invariant holds -- the common case on
-            # every executed cycle of a healthy run.
+        if holds:
             if self._any_active:
                 self._clear_active()
             return
@@ -288,8 +235,8 @@ class InvariantMonitor:
             elif not watch.active:
                 watch.active = True
                 self._fire(watch, cycle)
-        # _fire may have rebuilt the list (storm limit); a dropped
-        # watch no longer holds the fast path hostage.
+        # _fire may have dropped a watch (storm limit); a dropped watch
+        # no longer holds the fast path hostage.
         self._any_active = any(w.active for w in self._watches)
 
     def _fire(self, watch: _Watch, cycle: int) -> None:
@@ -299,35 +246,25 @@ class InvariantMonitor:
         value: Optional[float] = None
         if invariant.probe is not None:
             value = float(invariant.probe())
-        violation = Violation(
-            invariant=invariant.name,
-            path=watch.path,
-            cycle=cycle,
-            value=value,
-            desc=invariant.desc,
-        )
-        if len(self.violations) < self.max_violations:
-            self.violations.append(violation)
-        if watch.firings >= self.max_firings_per_invariant:
-            # A storming invariant stops being evaluated; the recorded
-            # firing count keeps climbing nowhere.  The watch list and
-            # the fused probe are rebuilt off the hot path, and the
-            # compiled listener is swapped in place (same slot, same
-            # idle hint) so a run already in flight sees the new set.
+        if len(self.violations) < MAX_VIOLATIONS:
+            self.violations.append(Violation(
+                invariant=invariant.name,
+                path=watch.path,
+                cycle=cycle,
+                value=value,
+                desc=invariant.desc,
+            ))
+        if watch.firings >= MAX_FIRINGS_PER_INVARIANT:
+            # A storming invariant stops being recorded.  The compiled
+            # probe still evaluates it, so while it keeps failing every
+            # executed cycle takes the scan path; the scan skips it.
             self._watches = [w for w in self._watches if w is not watch]
-            self._fused = _compile_fused(self._watches)
-            if self._listener is not None:
-                rebuilt = _compile_listener(self._watches, self)
-                self.tm.replace_cycle_listener(self._listener, rebuilt)
-                self._listener = rebuilt
-        if self.on_violation is not None:
-            self.on_violation(violation)
 
     # -- reporting -------------------------------------------------------
 
     @property
     def armed(self) -> int:
-        """Invariants still being evaluated."""
+        """Invariants still being recorded."""
         return len(self._watches)
 
     @property
@@ -341,7 +278,6 @@ class InvariantMonitor:
     def report(self) -> dict:
         return {
             "armed": len(self._watches),
-            "hintless": list(self.hintless),
             "firings": self.firings,
             "violations": [v.to_dict() for v in self.violations],
         }

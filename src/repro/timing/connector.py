@@ -76,7 +76,6 @@ class Connector(Module):
             expr="len(m._queue) <= m._transactions_limit"
                  " and m._pushed_this_cycle <= m.input_throughput"
                  " and m._popped_this_cycle <= m.output_throughput",
-            hint="idle-stable",
             probe=lambda: float(len(self._queue)),
             desc="in-flight <= max_transactions and per-cycle "
                  "push/pop counts within throughput budgets")

@@ -194,6 +194,14 @@ DEFAULT_ISSUE_WIDTHS = (1, 2, 4, 8)
 IDLE_HINT_UNBOUNDED = 1 << 40
 
 
+def unbounded_idle_hint(cycle: int) -> int:
+    """The idle hint of every observer that reads module state only (the
+    stats fabric, the invariant monitor, trigger queries): no module
+    steps inside a quiescent span, so nothing it reads can change there,
+    and the waking cycle replays the full per-cycle path."""
+    return IDLE_HINT_UNBOUNDED
+
+
 def build_default_core(
     issue_width: int = 2, feed: Optional[InstructionFeed] = None
 ) -> "TimingModel":
@@ -315,13 +323,17 @@ class TimingModel(Module):
     def add_cycle_listener(self, listener: Callable, idle_hint=None) -> None:
         """Subscribe a per-cycle hook, optionally with an idle hint.
 
-        *idle_hint* is a ``cycle -> int`` callable returning how many
-        upcoming cycles the listener is guaranteed to ignore (its
-        ``(cycle, cycle + n]`` calls would all be no-ops).  The compiled
-        engine takes the minimum across listeners when batching idle
-        spans; a hint returning :data:`IDLE_HINT_UNBOUNDED` never bounds
-        a span.  Registering without a hint disables idle fast-forward
-        while this listener is subscribed (appending directly to
+        This is the one way onto the per-cycle seam: both engines call
+        every subscribed listener after the cycle's steps, on every
+        executed cycle.  *idle_hint* is a ``cycle -> int`` callable
+        returning how many upcoming cycles the listener is guaranteed to
+        ignore (its ``(cycle, cycle + n]`` calls would all be no-ops).
+        The compiled engine takes the minimum across listeners when
+        batching idle spans.  Observers of module state pass
+        :func:`unbounded_idle_hint`; cadence observers (pulse samples,
+        cycle-mode interrupts) bound the span to their next due cycle.
+        Registering without a hint disables idle fast-forward while this
+        listener is subscribed (appending directly to
         ``cycle_listeners`` behaves the same way).
         """
         # The registration primitive itself: the hint (if any) is
@@ -330,23 +342,6 @@ class TimingModel(Module):
         if idle_hint is not None:
             self._cycle_idle_hints[id(listener)] = idle_hint
 
-    def replace_cycle_listener(self, old: Callable, new: Callable) -> None:
-        """Swap a subscribed cycle listener in place, keeping its slot
-        and idle hint.
-
-        For subscribers that compile their hook into a closure (the
-        invariant monitor's fused probe, compiled trigger queries) and
-        need to re-compile when their watch set changes mid-run.  The
-        compiled engine hoists ``cycle_listeners`` as a list object, so
-        an in-place element swap is observed by a run already in
-        flight.
-        """
-        index = self.cycle_listeners.index(old)
-        self.cycle_listeners[index] = new
-        hint = self._cycle_idle_hints.pop(id(old), None)
-        if hint is not None:
-            self._cycle_idle_hints[id(new)] = hint
-
     def _notify_commit(self, di, cycle: int) -> None:
         for listener in self._commit_listeners:
             listener(di, cycle)
@@ -354,16 +349,24 @@ class TimingModel(Module):
     # -- stepping ------------------------------------------------------------
 
     def tick(self) -> None:
-        """Advance one target cycle."""
+        """Advance one target cycle.
+
+        The body is the legacy engine's hand-ordered reference steps or
+        the compiled schedule's current steps (which the tick profiler
+        may have instrumented); the per-cycle tail after it is shared.
+        ``CompiledSchedule.run`` fuses this whole method into its
+        batched loop.
+        """
         self.cycle += 1
         cycle = self.cycle
-        if self._schedule is not None:
-            self._schedule.tick_cycle(cycle)
-            return
-        self.frontend.fetch_q.tick(cycle)
-        self.frontend.decode_q.tick(cycle)
-        self.backend.tick(cycle)
-        self.frontend.tick(cycle)
+        if self._schedule is None:
+            self.frontend.fetch_q.tick(cycle)
+            self.frontend.decode_q.tick(cycle)
+            self.backend.tick(cycle)
+            self.frontend.tick(cycle)
+        else:
+            for step in self._schedule._steps:
+                step(cycle)
         listeners = self.cycle_listeners
         if listeners:
             if len(listeners) == 1:

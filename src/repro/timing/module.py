@@ -42,12 +42,9 @@ class Invariant:
     because it runs on the live simulation state.  ``probe``, if given,
     supplies the observed scalar recorded when the invariant fires.
 
-    *hint* mirrors the cycle-listener idle hints consumed by the
-    compiled engine: ``"idle-stable"`` declares the invariant cannot
-    change state during a quiescent (idle/halted) span, an int bounds
-    how many idle cycles may be skipped between evaluations, and a
-    zero-arg callable computes that bound lazily.  A hintless invariant
-    pins the monitor to single-cycle stepping (FastLint rule IV003).
+    An invariant reads module state only, which no module step changes
+    inside a quiescent (idle/halted) span, so the monitor never bounds
+    the compiled engine's idle fast-forward.
 
     *expr*, if given, is the check as a Python expression string over
     the single free name ``m`` (the owning module).  The monitor
@@ -62,15 +59,14 @@ class Invariant:
     (FastLint rule IV001) so every run checks the same lattice.
     """
 
-    __slots__ = ("name", "check", "hint", "probe", "desc", "expr")
+    __slots__ = ("name", "check", "probe", "desc", "expr")
     kind = "invariant"
 
     def __init__(self, name: str, check: Callable[[], bool],
-                 hint=None, probe: Optional[Callable[[], float]] = None,
+                 probe: Optional[Callable[[], float]] = None,
                  desc: str = "", expr: Optional[str] = None):
         self.name = name
         self.check = check
-        self.hint = hint
         self.probe = probe
         self.desc = desc
         self.expr = expr
@@ -356,12 +352,11 @@ class Module:
         return invariant
 
     def new_invariant(self, name: str, check: Callable[[], bool],
-                      hint=None,
                       probe: Optional[Callable[[], float]] = None,
                       desc: str = "",
                       expr: Optional[str] = None) -> Invariant:
-        invariant = Invariant(name, check, hint=hint, probe=probe,
-                              desc=desc, expr=expr)
+        invariant = Invariant(name, check, probe=probe, desc=desc,
+                              expr=expr)
         self.register_invariant(invariant)
         return invariant
 

@@ -116,14 +116,12 @@ class Backend(Module):
             "rob_occupancy_bound",
             check=lambda: len(self.rob) <= self._rob_limit,
             expr="len(m.rob) <= m._rob_limit",
-            hint="idle-stable",
             probe=lambda: float(len(self.rob)),
             desc="ROB occupancy never exceeds its configured entry count")
         self.new_invariant(
             "rs_occupancy_bound",
             check=lambda: len(self.rs) <= self._rs_limit,
             expr="len(m.rs) <= m._rs_limit",
-            hint="idle-stable",
             probe=lambda: float(len(self.rs)),
             desc="reservation-station occupancy never exceeds its "
                  "configured entry count")

@@ -37,30 +37,27 @@ uneventful (:meth:`repro.timing.feed.InstructionFeed.idle_horizon`) and
 the loop advances ``cycle``, ``idle_cycles`` and device time in one
 batched step, preserving watchdog and cycle-listener semantics exactly.
 
-Invariant step hook
--------------------
+The observer seam
+----------------
 
-The cycle-listener hook that runs after the per-cycle steps is the
-engines' invariant seam: the FastWatch monitor
-(:mod:`repro.observability.watch`) compiles every registered module
-invariant into one listener and subscribes it with an idle hint, so
-structural properties are checked after *every executed cycle* on both
-engines while idle spans still batch.  Invariant probes must go through
-this hook -- never inside the generated stage closures -- because listeners
+Every per-cycle observer -- the stats fabric, trigger queries, the
+FastWatch invariant monitor (:mod:`repro.observability.watch`), the
+FastPulse emitter (:mod:`repro.observability.pulse`) and the cycle-mode
+interrupt coordinator -- subscribes through one call,
+``TimingModel.add_cycle_listener(listener, idle_hint)``, and both
+engines run every listener after the cycle's steps.  Probes must go
+through this seam, never inside the generated stage closures: listeners
 observe the post-step state of a fully-evaluated cycle on either
-engine, which is what keeps a violation's cycle number engine-
-independent.  ``_idle_span`` already enforces the corresponding rule:
-any listener registered without a hint (e.g. a hintless invariant,
-FastLint rule IV003) pins the loop to single-cycle stepping.
+engine, which keeps an invariant violation's cycle number and the set
+of sampled pulse cycles engine-independent.
 
-The same seam is FastPulse's sampling point
-(:mod:`repro.observability.pulse`): the live-telemetry emitter
-registers here with a cadence-derived hint (``next due sample - cycle
-- 1``), so idle spans batch up to the next sample boundary and a due
-sample always lands on a fully-evaluated cycle.  Because the wake
-cycle replays the whole per-cycle path on both engines, the set of
-sampled cycles -- and therefore the deterministic section of every
-pulse record -- is engine-independent by construction.
+One idle-hint contract bounds fast-forward: an observer of module state
+passes ``unbounded_idle_hint`` (no module steps inside a quiescent
+span, so nothing it reads changes), and a cadence observer returns the
+cycles left before its next due cycle (FastPulse: ``next due sample -
+cycle - 1``), so the wake cycle replays the whole per-cycle path.
+``_idle_span`` takes the minimum; a listener registered without a hint
+pins the loop to single-cycle stepping (FastLint rule ST003).
 """
 
 from __future__ import annotations
@@ -161,9 +158,8 @@ class CompiledSchedule:
     """The pre-compiled tick engine for one :class:`TimingModel`.
 
     Built once at construction (``TimingConfig(engine="compiled")``);
-    exposes :meth:`tick_cycle` (one cycle, bit-identical to the legacy
-    ``TimingModel.tick``) and :meth:`run` (the batched run loop with
-    idle fast-forward).
+    holds the step tuple ``TimingModel.tick`` runs for one cycle and
+    :meth:`run`, the batched run loop with idle fast-forward.
     """
 
     def __init__(self, tm) -> None:
@@ -219,9 +215,10 @@ class CompiledSchedule:
         wrap: Callable[[str, Callable[[int], None]], Callable[[int], None]],
     ) -> Tuple[Callable[[int], None], ...]:
         """Replace every step with ``wrap(path, step)`` (FastScope's
-        tick profiler).  Must run before :meth:`run`, which hoists the
-        step tuple into a local at entry.  Returns the previous tuple so
-        the caller can restore it."""
+        tick profiler).  ``TimingModel.tick`` reads the current tuple on
+        every call; :meth:`run` hoists it into a local at entry, so
+        instrument before running.  Returns the previous tuple so the
+        caller can restore it."""
         previous = self._steps
         self._steps = tuple(
             wrap(path, step)
@@ -229,43 +226,12 @@ class CompiledSchedule:
         )
         return previous
 
-    # -- one cycle -------------------------------------------------------
-
-    def tick_cycle(self, cycle: int) -> None:
-        """Evaluate one target cycle.  The caller (``TimingModel.tick``
-        or :meth:`run`) has already advanced ``tm.cycle`` to *cycle*;
-        semantics are bit-identical to the legacy engine's tick."""
-        tm = self._tm
-        for step in self._steps:
-            step(cycle)
-        listeners = tm.cycle_listeners
-        if listeners:
-            if len(listeners) == 1:
-                listeners[0](cycle)
-            else:
-                for listener in listeners:
-                    listener(cycle)
-        frontend = tm.frontend
-        backend = tm.backend
-        if (
-            frontend.idle_this_cycle
-            and not backend.rob
-            and not tm.feed.finished
-        ):
-            tm.feed.idle_tick()
-            tm.idle_cycles += 1
-            tm._last_progress = cycle
-        if backend.last_commit_cycle > tm._last_progress:
-            tm._last_progress = backend.last_commit_cycle
-        if cycle - tm._last_progress > tm.config.watchdog_cycles:
-            tm._raise_deadlock(cycle)
-
     # -- the batched run loop --------------------------------------------
 
     def run(self, max_cycles: int):
         """Run to completion (or budget), fast-forwarding idle spans.
 
-        The loop body is :meth:`tick_cycle` fused inline with every
+        The loop body is ``TimingModel.tick`` fused inline with every
         per-cycle attribute hoisted into locals: on this Python host the
         engine overhead is attribute traffic, and the whole point of
         compiling the schedule is that none of these bindings can change

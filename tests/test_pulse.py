@@ -1,8 +1,8 @@
 """FastPulse tests: deterministic footer byte-identity (same seed, both
 engines), idle fast-forward survival, non-perturbation, the liveness
 watchdog (and its stall -> capsule hook), sidecar readers (``repro top``,
-OpenMetrics), FastFlight adoption, the ST004 lint rule, oracle wedge
-classification and a genuinely-live second-process attach."""
+OpenMetrics), FastFlight adoption, oracle wedge classification and a
+genuinely-live second-process attach."""
 
 import functools
 import json
@@ -109,38 +109,38 @@ def test_pulse_does_not_perturb_timing_stats():
 
 def test_idle_hint_preserves_fast_forward():
     # With the cadence hint the listener wakes only on busy cycles and
-    # due samples; hintless (single_step) registration is called on
-    # every executed cycle.  linux-boot idles through most of its
-    # cycles, so the hinted emitter must see far fewer calls.
+    # due samples; a plain hintless listener is called on every
+    # executed cycle.  linux-boot idles through most of its cycles, so
+    # the hinted emitter must see far fewer calls.
     from repro.experiments.bench import _linux_boot
 
-    calls = {"hinted": 0, "single": 0}
+    calls = {"hinted": 0, "hintless": 0}
 
     class Counting(PulseEmitter):
-        def __init__(self, bucket, *args, **kwargs):
-            self._bucket = bucket
-            super().__init__(*args, **kwargs)
-
         def _on_cycle(self, cycle):
-            calls[self._bucket] += 1
+            calls["hinted"] += 1
             super()._on_cycle(cycle)
 
-    def boot(bucket, single_step):
-        sim = build_fast_simulator(
+    def count_hintless(cycle):
+        calls["hintless"] += 1
+
+    def boot():
+        return build_fast_simulator(
             _linux_boot(sleep_ticks=20),
             timing_config=TimingConfig(engine="compiled"),
         )
-        Counting(bucket, sim.tm, feed=sim.feed, interval_cycles=50_000,
-                 single_step=single_step)
-        return sim.run(max_cycles=2_000_000)
 
-    result = boot("hinted", False)
+    sim = boot()
+    Counting(sim.tm, feed=sim.feed, interval_cycles=50_000)
+    result = sim.run(max_cycles=2_000_000)
     assert result.timing.idle_cycles > 0
-    boot("single", True)
+    sim = boot()
+    sim.tm.add_cycle_listener(count_hintless)  # fastlint: ignore[ST003]
+    assert sim.run(max_cycles=2_000_000).timing == result.timing
     # Hintless registration pins single-cycle stepping: one call per
     # executed cycle.  The cadence hint confines calls to busy cycles
     # plus a handful of wake cycles at sample boundaries.
-    assert calls["single"] == result.timing.cycles
+    assert calls["hintless"] == result.timing.cycles
     busy = result.timing.cycles - result.timing.idle_cycles
     assert calls["hinted"] <= busy + 64
 
@@ -363,24 +363,18 @@ def test_report_describe_has_telemetry_column(tmp_path):
     assert "pulse[" in described and "stalls=0" in described
 
 
-# -- FastLint ST004 ----------------------------------------------------------
-
-
-def test_st004_flags_single_step_emitters():
-    report = lint_stat_source(
-        "a = PulseEmitter(tm, single_step=True)\n"
-        "b = pulse.PulseEmitter(tm, single_step=flag)\n"
-    )
-    rules = [d.rule for d in report.diagnostics]
-    assert rules == ["ST004", "ST004"]
+# -- FastLint: the emitter's registration path ----------------------------
 
 
 def test_st004_quiet_on_hinted_or_suppressed():
+    # Constructing an emitter is never flagged: it always registers
+    # with its cadence hint.  A hintless registration is ST003 unless
+    # suppressed.
     report = lint_stat_source(
         "a = PulseEmitter(tm)\n"
-        "b = PulseEmitter(tm, single_step=False)\n"
-        "c = PulseEmitter(tm, single_step=True)"
-        "  # fastlint: ignore[ST004]\n"
+        "tm.add_cycle_listener(self._on_cycle, idle_hint=self._idle_hint)\n"
+        "tm.add_cycle_listener(self._on_cycle)"
+        "  # fastlint: ignore[ST003]\n"
     )
     assert [d.rule for d in report.diagnostics] == []
 

@@ -58,7 +58,7 @@ def _factory(engine):
 def test_invariant_registry_and_duplicate_rejection():
     module = Module("m")
     inv = module.new_invariant(
-        "nonneg", check=lambda: True, hint="idle-stable", desc="always"
+        "nonneg", check=lambda: True, desc="always"
     )
     assert module.invariant("nonneg") is inv
     assert "m/nonneg" in module.all_invariants()
@@ -86,7 +86,6 @@ def test_monitor_clean_on_healthy_run(engine):
     sim = _factory(engine)()
     monitor = InvariantMonitor(sim.tm, extra_roots=(sim.feed,))
     assert monitor.armed >= 6
-    assert monitor.hintless == []
     sim.run(max_cycles=MAX_CYCLES)
     assert not monitor.fired, monitor.report()
 
@@ -105,7 +104,7 @@ def test_fused_probe_matches_checks_on_real_run():
 def test_fused_probe_drift_detected():
     module = Module("m")
     module.new_invariant(  # fastlint: ignore[IV001]
-        "drifted", check=lambda: True, expr="False", hint="idle-stable"
+        "drifted", check=lambda: True, expr="False"
     )
 
     class _FakeTM(Module):
@@ -125,43 +124,39 @@ def test_fused_probe_drift_detected():
 
 
 def test_storm_limit_swaps_compiled_listener_in_place():
-    # A storming invariant is dropped from the watch set mid-run; the
-    # compiled cycle listener must be re-generated and swapped into the
-    # same subscription slot (the engine hoists the listener list, so
-    # only an in-place swap is observed by a run in flight).
+    # A storming invariant stops being recorded after 64 firings.  The
+    # compiled listener is never regenerated or swapped: the subscribed
+    # object stays put, and the dropped watch is skipped by the scan.
     sim = _factory("compiled")()
     tm = sim.tm
     flap = {"ok": True}
     module = Module("flappy")
     module.new_invariant(  # fastlint: ignore[IV001]
-        "flap", check=lambda: flap["ok"], hint="idle-stable"
+        "flap", check=lambda: flap["ok"]
     )
-    monitor = InvariantMonitor(
-        tm, extra_roots=(module,), max_firings_per_invariant=3
-    )
+    monitor = InvariantMonitor(tm, extra_roots=(module,))
     armed_before = monitor.armed
     index = len(tm.cycle_listeners) - 1
-    original = tm.cycle_listeners[index]
-    hint = tm._cycle_idle_hints[id(original)]
+    listener = tm.cycle_listeners[index]
+    hint = tm._cycle_idle_hints[id(listener)]
     cycle = 0
-    # Each flap down-and-up is one edge-triggered firing.
-    for _ in range(3):
+    # Each flap down-and-up is one edge-triggered firing; keep flapping
+    # past the limit.
+    for _ in range(64 + 4):
         cycle += 1
         flap["ok"] = False
         tm.cycle_listeners[index](cycle)
         cycle += 1
         flap["ok"] = True
         tm.cycle_listeners[index](cycle)
-    assert monitor.firings == 3
+    assert tm.cycle_listeners[index] is listener
+    assert tm._cycle_idle_hints[id(listener)] is hint
+    # 64 firings, one per falling edge, then silence.
+    assert monitor.firings == 64
+    assert [v.cycle for v in monitor.violations] == list(range(1, 128, 2))
+    assert {v.invariant for v in monitor.violations} == {"flap"}
     assert monitor.armed == armed_before - 1
-    swapped = tm.cycle_listeners[index]
-    assert swapped is not original
-    assert tm._cycle_idle_hints[id(swapped)] is hint
-    assert id(original) not in tm._cycle_idle_hints
-    # The dropped watch no longer fires (or evaluates) at all.
-    flap["ok"] = False
-    tm.cycle_listeners[index](cycle + 1)
-    assert monitor.firings == 3
+    assert not monitor._any_active
 
 
 def test_monitor_does_not_perturb_stats():
@@ -175,18 +170,11 @@ def test_monitor_does_not_perturb_stats():
     assert dataclasses.asdict(bare) == dataclasses.asdict(watched)
 
 
-def test_hintless_invariant_reported():
-    sim = _factory("compiled")()
-    sim.tm.new_invariant("adhoc", check=lambda: True)  # fastlint: ignore[IV001, IV003]
-    monitor = InvariantMonitor(sim.tm)
-    assert any(p.endswith("adhoc") for p in monitor.hintless)
-
-
 def test_edge_triggered_firing():
     module = Module("m")
     state = {"bad": False}
     module.new_invariant(
-        "flag", check=lambda: not state["bad"], hint="idle-stable"
+        "flag", check=lambda: not state["bad"]
     )
 
     class _FakeTM(Module):
@@ -381,7 +369,7 @@ def test_iv001_registration_outside_construction():
     report = lint_watch_source(
         "class M:\n"
         "    def tick(self, cycle):\n"
-        "        self.new_invariant('late', check=lambda: True, hint=1)\n"
+        "        self.new_invariant('late', check=lambda: True)\n"
     )
     assert [d.rule for d in report] == ["IV001"]
 
@@ -390,7 +378,7 @@ def test_iv002_impure_check_closure():
     report = lint_watch_source(
         "class M:\n"
         "    def __init__(self):\n"
-        "        self.new_invariant('bad', check=self._chk, hint=1)\n"
+        "        self.new_invariant('bad', check=self._chk)\n"
         "    def _chk(self):\n"
         "        self.count += 1\n"
         "        self.events.append(1)\n"
@@ -401,7 +389,7 @@ def test_iv002_impure_check_closure():
     report = lint_watch_source(
         "class M:\n"
         "    def __init__(self):\n"
-        "        self.new_invariant('ok', check=self._chk, hint=1)\n"
+        "        self.new_invariant('ok', check=self._chk)\n"
         "    def _chk(self):\n"
         "        total = len(self.rob)\n"
         "        return total <= self.limit\n"
@@ -409,24 +397,12 @@ def test_iv002_impure_check_closure():
     assert list(report) == []
 
 
-def test_iv003_hintless_invariant():
-    report = lint_watch_source(
-        "class M:\n"
-        "    def __init__(self):\n"
-        "        self.new_invariant('nohint', check=lambda: True)\n"
-        "        self.new_invariant('none', check=lambda: True, hint=None)\n"
-        "        self.new_invariant('ok', check=lambda: True,\n"
-        "                           hint='idle-stable')\n"
-    )
-    assert [d.rule for d in report] == ["IV003", "IV003"]
-
-
 def test_iv_rules_suppressible():
     report = lint_watch_source(
         "class M:\n"
         "    def tick(self, cycle):\n"
         "        self.new_invariant(  # fastlint: ignore[IV001]\n"
-        "            'late', check=lambda: True, hint=1)\n"
+        "            'late', check=lambda: True)\n"
     )
     assert list(report) == []
 
