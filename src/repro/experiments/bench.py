@@ -52,7 +52,7 @@ from repro.fuzz.generator import alu_burst
 from repro.kernel.image import UserProgram
 from repro.kernel.sources import linux24_config
 from repro.timing.core import TimingConfig
-from repro.workloads import build as build_workload
+from repro.workloads import build as build_workload, linux_boot_slice
 from repro.workloads.generator import (
     EXIT_SNIPPET,
     Workload,
@@ -68,20 +68,6 @@ MAX_CYCLES = 8_000_000
 # Workloads whose wall time the idle fast-forward should dominate; the
 # acceptance bar is >= 2.4x on these, >= 1.3x on the busy class.
 IDLE_HEAVY = ("linux-boot", "perlbmk-sleep")
-
-_SLEEPER_INIT = """
-main:
-    MOVI R0, 1
-    MOVI R1, 98           ; 'b': boot reached userspace
-    SYSCALL
-    MOVI R0, 2            ; SYS_SLEEP: park the system in the kernel's
-    MOVI R1, %(ticks)d    ; HALT idle loop for this many kernel ticks
-    SYSCALL
-    MOVI R0, 1
-    MOVI R1, 10           ; newline
-    SYSCALL
-%(exit)s
-"""
 
 _PERLBMK_SLEEP = """
 main:
@@ -110,18 +96,6 @@ pbs_hash:
 .align 4
 %(data)s
 """
-
-
-def _linux_boot(sleep_ticks: int) -> Workload:
-    source = _SLEEPER_INIT % {"ticks": sleep_ticks, "exit": EXIT_SNIPPET}
-    return Workload(
-        name="linux-boot",
-        programs=[UserProgram("init", source, entry="main")],
-        kernel_config=linux24_config(),
-        description="Linux-2.4 boot slice; init sleeps %d kernel ticks"
-        % sleep_ticks,
-        paper_row="Linux-2.4",
-    )
 
 
 def _perlbmk_sleep(iterations: int, sleep_ticks: int) -> Workload:
@@ -236,7 +210,7 @@ def bench_workloads(smoke: bool) -> List[Workload]:
     """The bench set: one boot slice, one sleeper, four busy kernels."""
     if smoke:
         return [
-            _linux_boot(sleep_ticks=20),
+            linux_boot_slice(sleep_ticks=20),
             _perlbmk_sleep(iterations=2, sleep_ticks=10),
             build_workload("164.gzip", scale=1),
             build_workload("181.mcf", scale=1),
@@ -244,7 +218,7 @@ def bench_workloads(smoke: bool) -> List[Workload]:
             _fuzz_chase(outer=6, steps=384),
         ]
     return [
-        _linux_boot(sleep_ticks=60),
+        linux_boot_slice(sleep_ticks=60),
         _perlbmk_sleep(iterations=4, sleep_ticks=20),
         build_workload("164.gzip", scale=1),
         build_workload("181.mcf", scale=1),

@@ -43,7 +43,10 @@ class ProtocolStats:
     mispredict_messages: int = 0  # TM -> FM: go down the wrong path
     resolve_messages: int = 0  # TM -> FM: resume the right path
     commit_messages: int = 0  # TM -> FM: release rollback state
-    rollback_replays: int = 0  # instructions re-executed by set_pc
+    # Instructions re-executed by set_pc: modelled; the host may
+    # restore the state a replay reached instead (see
+    # FunctionalModel.rollback_to).
+    rollback_replays: int = 0
     idle_ticks: int = 0  # target cycles with a halted CPU
     interrupt_deliveries: int = 0  # TM-generated interrupts (cycle mode)
     max_runahead: int = 0  # deepest FM lead over TM commit, in entries
@@ -196,16 +199,13 @@ class TraceBufferFeed(InstructionFeed, Module):
         # generated there is discarded at resolution, so deep runahead
         # is pure waste (the real FAST likewise only needs enough wrong-
         # path instructions to keep fetch busy until the branch
-        # resolves).
+        # resolves).  The batch is entry-for-entry what eight
+        # execute_next calls would give; superblocks replay it in their
+        # exact-accounting mode, and neither the span histogram nor the
+        # runahead high-water mark sees it.
         if self.fm.on_wrong_path:
-            for _ in range(8):
-                if not self._can_produce():
-                    return
-                entry = self.fm.execute_next()
-                if entry is None:
-                    return
-                self._buffer.append(entry)
-                self.protocol.entries_streamed += 1
+            self.protocol.entries_streamed += self.fm.execute_into(
+                self._buffer, 8)
             return
         # Batched refill: hand the FM a span budget bounded by both the
         # lookahead and the remaining trace-buffer capacity, and let it

@@ -17,7 +17,12 @@ Replay is *observationally identical* to interpretation:
   would have produced (excluded opcodes guarantee the TLB/IO trace
   fields stay at their defaults);
 * ``FunctionalStats`` counters advance by the same amounts, including
-  Table 1 microcode-coverage accounting;
+  Table 1 microcode-coverage accounting -- except the decode counts on
+  the forward path: forward replay counts every step as a decode hit
+  instead of probing the decode cache, and capture's own fetches count
+  as lookups, so ``decode_hits``/``decode_misses`` differ from an
+  interpreted run (181.mcf: 145,605/6,525 with superblocks, 145,436/
+  6,582 without);
 * device time advances one bus tick per instruction.  Ticks are
   *deferred* and applied in one batch, which is device-state-identical
   to single ticks (the idle fast-forward already relies on this)
@@ -46,6 +51,13 @@ translations were resolved at capture time; kernel-mode blocks use
 identity mapping and need no pin.  Every block pins the microcode
 table version (hand-patching re-cracks) and the trace-compression mode
 (it bakes per-entry trace-word counts).
+
+Exact-accounting mode.  Rollback replay and the forced wrong path
+enter through ``step_exact``: a read-only lookup (no heat, capture,
+drop or ``SuperblockStats``) and a replay that probes the decode cache
+per step exactly as ``FunctionalModel._decode_at`` does.  Those two
+paths therefore match interpretation in every count, the decode counts
+included.
 
 Serializing and trace-visible-side-effect opcodes (HALT, SYSCALL, INT,
 IRET, CLI, STI, IN, OUT, TLBWR, TLBFLUSH, MOVSR, MOVRS) never enter a
@@ -264,15 +276,41 @@ class SuperblockCache:
                 index.add(key)
         elif block is _UNCAPTURABLE:
             return 0
-        elif (
-            block.mc_version != fm.microcode.version
-            or block.compression != fm.config.trace_compression
-            or (not key[1] and block.tlb_gen != fm.tlb_generation)
-        ):
+        elif self._stale(block, key[1]):
             self._drop(block)
             self.stats.misses += 1
             return 0
         return self._replay(block, sink, budget)
+
+    def step_exact(self, sink: Optional[List[TraceEntry]],
+                   budget: int) -> int:
+        """Replay the live block at the FM's PC, if there is one, in
+        exact-accounting mode: rollback replay (``fm._replaying``; no
+        entries, *sink* unused) or the forced wrong path
+        (``fm._wrong_path``; entries flagged ``wrong_path``).
+
+        The lookup is read-only -- no heat, no capture, no drop -- and
+        ``SuperblockStats`` do not move.  Every step probes the decode
+        cache as ``FunctionalModel._decode_at`` does, so the decode
+        counts match interpretation exactly.  Returns the number of
+        instructions executed (0: interpret this one).
+        """
+        state = self.fm.state
+        kernel = state.kernel_mode
+        block = self._blocks.get((state.pc, kernel))
+        if not block or self._stale(block, kernel):
+            return 0
+        return self._replay(block, sink, budget)
+
+    def _stale(self, block: Superblock, kernel: bool) -> bool:
+        """Captured under another microcode version, trace-compression
+        mode or (user mode only) TLB generation."""
+        fm = self.fm
+        return (
+            block.mc_version != fm.microcode.version
+            or block.compression != fm.config.trace_compression
+            or (not kernel and block.tlb_gen != fm.tlb_generation)
+        )
 
     def _capture(self, key: Tuple[int, bool]) -> Optional[Superblock]:
         """Walk forward from the entry PC, pre-decoding and pre-cracking
@@ -353,27 +391,48 @@ class SuperblockCache:
 
     # -- the fused replay loop -------------------------------------------
 
-    def _replay(self, block: Superblock, sink: List[TraceEntry],
+    def _replay(self, block: Superblock, sink: Optional[List[TraceEntry]],
                 budget: int) -> int:
         fm = self.fm
         state = fm.state
-        horizon = self._horizon(state.interrupts_enabled)
+        # Three modes, read off the FM.  Forward (neither flag) is the
+        # batched producer's.  Rollback replay and the forced wrong path
+        # come through step_exact: each step probes the decode cache as
+        # FunctionalModel._decode_at does, and SuperblockStats stay put.
+        # Rollback replay emits nothing, takes no checkpoint and leaves
+        # _handler_pending set, as FunctionalModel._complete does while
+        # replaying.
+        replaying = fm._replaying
+        wrong_path = fm._wrong_path
+        forward = not (replaying or wrong_path)
+        # Interrupts are squashed on the wrong path: only DMA bounds it.
+        horizon = self._horizon(state.interrupts_enabled and not wrong_path)
         cap = budget if budget < horizon else horizon
         if cap <= 0:
-            self.stats.horizon_bails += 1
+            if forward:
+                self.stats.horizon_bails += 1
             return 0
         bus = fm.bus
         tlb = fm.tlb
-        stats = fm.stats
         ckpt = fm.ckpt
         config = fm.config
-        collect = config.collect_coverage
+        collect = config.collect_coverage and forward
         kernel = block.key[1]
-        append = sink.append
+        append = None if replaying or sink is None else sink.append
         in_count = fm.in_count
-        next_ckpt = ckpt.next_due(in_count)
-        handler_entry = fm._handler_pending
-        fm._handler_pending = False
+        if replaying:
+            next_ckpt = _NO_BOUND
+            handler_entry = False
+        else:
+            next_ckpt = ckpt.next_due(in_count)
+            handler_entry = fm._handler_pending
+            fm._handler_pending = False
+        # Exact modes: the decode cache, the rollback replay's traffic
+        # log (FunctionalModel._replay_log) and the probe counts.
+        dcache = None if forward else fm._decode_cache
+        log = fm._replay_log
+        decode_hits = 0
+        decode_misses = 0
         res = ExecResult(0)
         produced = 0
         ticks = 0  # deferred bus ticks (flushed before any observer)
@@ -382,10 +441,10 @@ class SuperblockCache:
         cov_translated = 0
         cov_untranslated = 0
         cov_uops = 0
+        fault = None
         # Chain-lookup state.  None of these can change mid-chain: the
         # opcodes that move them (TLBWR/TLBFLUSH, MOVSR, IRET, ...) are
-        # excluded from blocks, and a fault exits through
-        # _replay_fault.
+        # excluded from blocks, and a fault exits the replay.
         sb_stats = self.stats
         blocks_map = self._blocks
         mc_version = fm.microcode.version
@@ -401,6 +460,18 @@ class SuperblockCache:
             while i < m:
                 (pc, ppc, instr, handler, seq_next, is_ctrl, words, uop_n,
                  translated, is_string) = steps[i]
+                if dcache is not None:
+                    page = ppc >> PAGE_SHIFT
+                    page_cache = dcache.get(page)
+                    if page_cache is None:
+                        page_cache = dcache[page] = {}
+                    if ppc in page_cache:
+                        decode_hits += 1
+                    else:
+                        page_cache[ppc] = instr
+                        decode_misses += 1
+                    if log is not None:
+                        log.append((ppc, instr))
                 if is_ctrl:
                     # Control handlers compute targets from state.pc
                     # (branch_target, CALL's return address).
@@ -411,48 +482,44 @@ class SuperblockCache:
                 res.iterations = 1
                 try:
                     handler(instr, res)
-                except Fault as fault:
-                    return self._replay_fault(
-                        block, sink, pc, ppc, instr, fault, in_count,
-                        produced, ticks, words_total, blocks_ended,
-                        cov_translated, cov_untranslated, cov_uops)
+                except Fault as exc:
+                    fault = exc
+                    break
                 except (TLBMiss, ProtectionFault) as exc:
-                    return self._replay_fault(
-                        block, sink, pc, ppc, instr, fm._mmu_fault(exc),
-                        in_count, produced, ticks, words_total, blocks_ended,
-                        cov_translated, cov_untranslated, cov_uops)
+                    fault = fm._mmu_fault(exc)
+                    break
                 except (IndexError, MemoryError_):
-                    return self._replay_fault(
-                        block, sink, pc, ppc, instr,
-                        Fault(CAUSE_INVALID_OPCODE, pc), in_count, produced,
-                        ticks, words_total, blocks_ended, cov_translated,
-                        cov_untranslated, cov_uops)
+                    fault = Fault(CAUSE_INVALID_OPCODE, pc)
+                    break
                 in_count += 1
-                entry = TraceEntry(in_count, pc, ppc, instr, res.next_pc,
-                                   res.iterations, res.mem_vaddr,
-                                   res.mem_paddr)
-                if handler_entry:
-                    entry.handler_entry = True
-                    handler_entry = False
-                append(entry)
                 produced += 1
                 ticks += 1
-                if is_string:
-                    words_total += words + (1 if res.mem_vaddr >= 0 else 0)
-                else:
-                    words_total += words
-                if is_ctrl:
-                    blocks_ended += 1
-                if collect:
-                    if translated:
-                        cov_translated += 1
-                    else:
-                        cov_untranslated += 1
+                if append is not None:
+                    entry = TraceEntry(in_count, pc, ppc, instr, res.next_pc,
+                                       res.iterations, res.mem_vaddr,
+                                       res.mem_paddr)
+                    if handler_entry:
+                        entry.handler_entry = True
+                        handler_entry = False
+                    if wrong_path:
+                        entry.wrong_path = True
+                    append(entry)
                     if is_string:
-                        cov_uops += (uop_n * res.iterations
-                                     if res.iterations > 0 else 1)
+                        words_total += words + (1 if res.mem_vaddr >= 0 else 0)
                     else:
-                        cov_uops += uop_n
+                        words_total += words
+                    if is_ctrl:
+                        blocks_ended += 1
+                    if collect:
+                        if translated:
+                            cov_translated += 1
+                        else:
+                            cov_untranslated += 1
+                        if is_string:
+                            cov_uops += (uop_n * res.iterations
+                                         if res.iterations > 0 else 1)
+                        else:
+                            cov_uops += uop_n
                 i += 1
                 if in_count >= next_ckpt:
                     # Checkpoint exactly where interpretation would
@@ -473,15 +540,20 @@ class SuperblockCache:
                     # offending instruction -- interpretation resumes
                     # with fresh bytes.
                     break
-            sb_stats.hits += 1
-            if block.dead:
-                at_boundary = True
+            if forward:
+                sb_stats.hits += 1
+            # A full replay ends where capture stopped -- a block
+            # boundary either way (control transfer, excluded opcode,
+            # or length cap); a dead block's exit point is fresh code
+            # and also worth a lookup, and a fault's handler entry
+            # starts a block.  Only a budget/horizon clip leaves the
+            # PC mid-block.
+            at_boundary = True
+            if fault is not None or block.dead:
                 break
             if i < bn:
-                # Clipped by the budget/horizon cap: mid-block exit.
                 at_boundary = False
                 break
-            at_boundary = True
             if produced >= cap:
                 break
             # Chain: the block ended at a boundary with cap to spare and
@@ -502,64 +574,50 @@ class SuperblockCache:
             ):
                 break
             block = nxt
-        state.pc = res.next_pc
+        self.exited_at_boundary = at_boundary
+        if fault is None:
+            state.pc = res.next_pc
         fm.in_count = in_count
         if ticks:
             bus.tick(ticks)
-            if not kernel:
-                tlb.lookups += ticks
-        # A full replay ends where capture stopped -- a block boundary
-        # either way (control transfer, excluded opcode, or length
-        # cap); a dead block's exit point is fresh code and also worth
-        # a lookup.  Only a budget/horizon clip leaves the PC
-        # mid-block.
-        self.exited_at_boundary = at_boundary
-        stats.executed += produced
-        stats.traced += produced
-        stats.trace_words += words_total
-        stats.basic_blocks += blocks_ended
-        stats.decode_hits += produced
-        if collect:
-            coverage = fm.microcode.coverage
-            coverage.translated += cov_translated
-            coverage.untranslated += cov_untranslated
-            coverage.uops += cov_uops
-        self.stats.replayed_instructions += produced
-        return produced
-
-    def _replay_fault(self, block: Superblock, sink: List[TraceEntry],
-                      pc: int, ppc: int, instr, fault: Fault,
-                      in_count: int, produced: int, ticks: int,
-                      words_total: int, blocks_ended: int,
-                      cov_translated: int, cov_untranslated: int,
-                      cov_uops: int) -> int:
-        """A step faulted mid-replay: flush the deferred state for the
-        completed prefix, then delegate the faulting instruction to the
-        interpreter's own fault path (bit-identical entry + handler
-        redirection + its own bus tick and checkpoint check)."""
-        fm = self.fm
-        fm.in_count = in_count
-        if ticks:
-            fm.bus.tick(ticks)
-        kernel = block.key[1]
         if not kernel:
-            # One fetch translation per completed step, plus the
-            # faulting instruction's own (successful) fetch.
-            fm.tlb.lookups += ticks + 1
+            # One fetch translation per completed step, plus a faulting
+            # instruction's own (successful) fetch.
+            tlb.lookups += ticks + (fault is not None)
+        # Add the deferred counts, as FunctionalModel._complete would
+        # have per instruction.  Forward mode counts every step as a
+        # decode hit and alone moves the superblock counters.
         stats = fm.stats
         stats.executed += produced
-        stats.traced += produced
-        stats.trace_words += words_total
-        stats.basic_blocks += blocks_ended
-        stats.decode_hits += produced + 1
-        if fm.config.collect_coverage:
-            coverage = fm.microcode.coverage
-            coverage.translated += cov_translated
-            coverage.untranslated += cov_untranslated
-            coverage.uops += cov_uops
+        if replaying:
+            stats.replayed += produced
+        else:
+            stats.traced += produced
+            stats.trace_words += words_total
+            stats.basic_blocks += blocks_ended
+            if wrong_path:
+                stats.wrong_path += produced
+        if forward:
+            stats.decode_hits += produced + (fault is not None)
+            if collect:
+                coverage = fm.microcode.coverage
+                coverage.translated += cov_translated
+                coverage.untranslated += cov_untranslated
+                coverage.uops += cov_uops
+            sb_stats.replayed_instructions += produced
+        else:
+            stats.decode_hits += decode_hits
+            stats.decode_misses += decode_misses
+        if fault is None:
+            return produced
+        # Delegate the faulting instruction to the interpreter's own
+        # fault path: bit-identical entry, handler redirection, its own
+        # bus tick and checkpoint check.
+        if handler_entry:
+            # The faulting step is the first to emit: its entry takes
+            # the pending handler flag, as interpretation would.
+            fm._handler_pending = True
         entry = fm._exec_fault(pc, ppc, instr, fault)
-        sink.append(entry)
-        self.exited_at_boundary = True  # the handler entry follows
-        self.stats.hits += 1
-        self.stats.replayed_instructions += produced
+        if append is not None:
+            append(entry)
         return produced + 1

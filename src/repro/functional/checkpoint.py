@@ -94,51 +94,64 @@ class CheckpointManager:
                 "checkpoint limit exceeded; timing model stopped committing?"
             )
 
-    def release(self, committed_in: int) -> None:
-        """Free checkpoints no longer needed once *committed_in* commits.
+    def release(self, committed_in: int) -> int:
+        """Free checkpoints no longer needed once *committed_in* commits;
+        return how many were freed.
 
         We must always retain the newest checkpoint with
         ``in_no <= committed_in`` (rollback to committed_in+1 needs it),
-        and everything after it.  The list is in IN order, so the scan
-        stops at the first checkpoint newer than *committed_in*.
+        and everything after it.  Nothing can go until *committed_in*
+        reaches the second-oldest checkpoint, which most commits do not:
+        they return at once.  Otherwise the scan stops at the first
+        checkpoint newer than *committed_in*.
         """
-        keep_from = 0
-        for i, ckpt in enumerate(self._checkpoints):
-            if ckpt.in_no > committed_in:
+        ckpts = self._checkpoints
+        if len(ckpts) < 2 or ckpts[1].in_no > committed_in:
+            return 0
+        keep_from = 1
+        for i in range(2, len(ckpts)):
+            if ckpts[i].in_no > committed_in:
                 break
             keep_from = i
-        if keep_from > 0:
-            dropped = self._checkpoints[:keep_from]
-            self._checkpoints = self._checkpoints[keep_from:]
-            self.stats.released += len(dropped)
-            # Trim undo entries older than the new oldest checkpoint.
-            base = self._checkpoints[0].undo_base
-            if base:
-                del self._undo[:base]
-                for ckpt in self._checkpoints:
-                    ckpt.undo_base -= base
+        del ckpts[:keep_from]
+        self.stats.released += keep_from
+        # Trim undo entries older than the new oldest checkpoint.
+        base = ckpts[0].undo_base
+        if base:
+            del self._undo[:base]
+            for ckpt in ckpts:
+                ckpt.undo_base -= base
+        return keep_from
 
     # -- rollback ------------------------------------------------------------
 
     def checkpoint_for(self, target_in: int) -> Optional[Checkpoint]:
-        """Newest checkpoint with ``in_no <= target_in``."""
-        best = None
-        for ckpt in self._checkpoints:
+        """Newest checkpoint with ``in_no <= target_in``.  Rollback
+        targets lie near the newest end, so the scan starts there."""
+        for ckpt in reversed(self._checkpoints):
             if ckpt.in_no <= target_in:
-                best = ckpt
-            else:
-                break
-        return best
+                return ckpt
+        return None
 
     def undo_entries_since(self, ckpt: Checkpoint):
         """Undo entries newer than *ckpt*, in reverse (apply order)."""
         return reversed(self._undo[ckpt.undo_base :])
 
-    def truncate_to(self, ckpt: Checkpoint) -> None:
-        """Discard checkpoints and undo entries newer than *ckpt*."""
-        index = self._checkpoints.index(ckpt)
-        self._checkpoints = self._checkpoints[: index + 1]
-        del self._undo[ckpt.undo_base :]
+    def undo_len_since(self, ckpt: Checkpoint) -> int:
+        """How many undo entries were logged after *ckpt*."""
+        return len(self._undo) - ckpt.undo_base
+
+    def truncate_to(self, ckpt: Checkpoint, keep_undo: int = 0) -> None:
+        """Discard checkpoints newer than *ckpt* and the undo entries
+        past its first *keep_undo*."""
+        ckpts = self._checkpoints
+        # By identity, from the newest end: dataclass equality would
+        # compare whole snapshots.
+        index = len(ckpts) - 1
+        while ckpts[index] is not ckpt:
+            index -= 1
+        del ckpts[index + 1 :]
+        del self._undo[ckpt.undo_base + keep_undo :]
 
     @property
     def checkpoints(self) -> Tuple[Checkpoint, ...]:

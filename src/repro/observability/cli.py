@@ -56,9 +56,9 @@ def build_workload(name: str, boot_sleep_ticks: int, scale: int = 1):
     """The fixed-seed Linux boot slice the bench uses, or the suite
     workload *name* at *scale*."""
     if name == DEFAULT_WORKLOAD:
-        from repro.experiments.bench import _linux_boot
+        from repro.workloads import linux_boot_slice
 
-        return _linux_boot(sleep_ticks=boot_sleep_ticks)
+        return linux_boot_slice(sleep_ticks=boot_sleep_ticks)
     from repro.workloads import build
 
     return build(name, scale=scale)

@@ -38,6 +38,10 @@ class PhysicalMemory:
     def __init__(self, size: int = 16 * 1024 * 1024):
         self.size = size
         self._data = zeroed_store(size)
+        # Calls of load_blob (loader and device DMA): the writes no undo
+        # log sees.  A rollback record is only reused while this stays
+        # put (FunctionalModel.rollback_to).
+        self.blob_loads = 0
 
     # -- loads ----------------------------------------------------------
 
@@ -82,6 +86,7 @@ class PhysicalMemory:
                 "blob of %d bytes at %#x out of range" % (len(data), addr)
             )
         self._data[addr : addr + len(data)] = data
+        self.blob_loads += 1
 
     def read_blob(self, addr: int, length: int) -> bytes:
         if not 0 <= addr <= self.size - length:

@@ -63,6 +63,10 @@ class SoftwareTLB:
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
         self._entries: Dict[int, TLBEntry] = {}  # insertion-ordered
+        # The items of the last snapshot or restore, while the entries
+        # still hold exactly those (None after a write or flush): a
+        # snapshot reuses it and restoring it copies nothing.
+        self._clean_items: Optional[Tuple] = ()
         self.lookups = 0
         self.misses = 0
 
@@ -95,17 +99,24 @@ class SoftwareTLB:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
         self._entries[vpn] = TLBEntry(vpn, pfn, flags)
+        self._clean_items = None
 
     def flush(self) -> None:
         self._entries.clear()
+        self._clean_items = None
 
     def snapshot(self) -> Tuple:
         """Immutable state for checkpointing."""
-        return tuple(self._entries.items()), self.lookups, self.misses
+        items = self._clean_items
+        if items is None:
+            items = self._clean_items = tuple(self._entries.items())
+        return items, self.lookups, self.misses
 
     def restore(self, state: Tuple) -> None:
         items, self.lookups, self.misses = state
-        self._entries = dict(items)
+        if items is not self._clean_items:
+            self._entries = dict(items)
+            self._clean_items = items
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,5 +1,6 @@
 """Synthetic workload suite modeling the paper's benchmarks."""
 
+from repro.workloads.boot import linux_boot_slice
 from repro.workloads.database import make_disk_image
 from repro.workloads.generator import Workload, build, register, workload_names
 from repro.workloads.suite import (
@@ -15,6 +16,7 @@ __all__ = [
     "Workload",
     "build",
     "full_suite",
+    "linux_boot_slice",
     "make_disk_image",
     "quick_suite",
     "register",

@@ -56,3 +56,34 @@ def linux26(scale: int = 1) -> Workload:
 @register("windows-xp")
 def windowsxp(scale: int = 1) -> Workload:
     return _boot_workload("windows-xp", windowsxp_config, "Windows XP")
+
+
+SLEEPER_INIT_SOURCE = """
+main:
+    MOVI R0, 1
+    MOVI R1, 98           ; 'b': boot reached userspace
+    SYSCALL
+    MOVI R0, 2            ; SYS_SLEEP: park the system in the kernel's
+    MOVI R1, %(ticks)d    ; HALT idle loop for this many kernel ticks
+    SYSCALL
+    MOVI R0, 1
+    MOVI R1, 10           ; newline
+    SYSCALL
+%(exit)s
+"""
+
+
+def linux_boot_slice(sleep_ticks: int) -> Workload:
+    """A Linux-2.4 boot whose init prints, sleeps *sleep_ticks* kernel
+    ticks in the HALT idle loop and shuts the system down: the boot
+    workload of the observability CLIs and the host-speed benchmark."""
+    source = SLEEPER_INIT_SOURCE % {"ticks": sleep_ticks,
+                                    "exit": EXIT_SNIPPET}
+    return Workload(
+        name="linux-boot",
+        programs=[UserProgram("init", source, entry="main")],
+        kernel_config=linux24_config(),
+        description="Linux-2.4 boot slice; init sleeps %d kernel ticks"
+        % sleep_ticks,
+        paper_row="Linux-2.4",
+    )

@@ -3,7 +3,8 @@ decode crack-memo's generational eviction and the FM's byte-keyed
 decode memo.
 
 Every superblock scenario here runs twice -- FM superblock capture/replay on and
-off -- and asserts bit-identical ``TimingStats``: replay is an
+off -- and asserts bit-identical ``TimingStats`` (on mcf and a boot
+slice, every other stat too but the decode hit/miss counts): replay is an
 implementation detail the timing results must never see, even across
 the nasty edges (self-modifying stores into captured blocks, rollback
 to a mid-block checkpoint, interrupts landing inside a replayed span).
@@ -16,13 +17,15 @@ import pytest
 import repro.functional.model as model_mod
 import repro.timing.pipeline.frontend as frontend_mod
 from repro.baselines.lockstep import LockStepFeed
+from repro.fast.simulator import FastSimulator
 from repro.fast.trace_buffer import TraceBufferFeed
-from repro.functional.model import FunctionalModel
+from repro.functional.model import FunctionalConfig, FunctionalModel
 from repro.isa.encoding import EncodingError, decode, encode, make
 from repro.isa.opcodes import OPCODES_BY_VALUE, REP_PREFIX
 from repro.isa.program import ProgramImage
 from repro.system.bus import build_standard_system
 from repro.timing.core import TimingConfig, TimingModel
+from repro.workloads import build, linux_boot_slice
 
 POWER_OFF = """
     MOVI R4, 0
@@ -46,6 +49,38 @@ def run_sim(source, superblocks=True, engine="compiled", feed="tb",
     stats = tm.run(max_cycles=max_cycles)
     assert fm.bus.shutdown_requested, "program did not power off"
     return dataclasses.asdict(stats), tm, fm
+
+
+# -- whole workloads: every stat but the decode counts ----------------------
+
+
+def _workload_stats(workload, superblocks, max_cycles):
+    sim = FastSimulator.from_programs(
+        workload.programs, kernel_config=workload.kernel_config,
+        functional_config=FunctionalConfig(superblocks=superblocks))
+    result = sim.run(max_cycles)
+    functional = dataclasses.asdict(result.functional)
+    # Forward replay counts every replayed step as a decode hit, and
+    # capture's own fetches count as lookups, so these two differ from
+    # interpretation (mcf: 145,605/6,525 on, 145,436/6,582 off).  Every
+    # other count must not.
+    del functional["decode_hits"], functional["decode_misses"]
+    return (dataclasses.asdict(result.timing), functional,
+            dataclasses.asdict(result.protocol), result.console_text)
+
+
+WORKLOADS = {
+    "mcf": (lambda: build("181.mcf", scale=1), 10_000),
+    "boot": (lambda: linux_boot_slice(sleep_ticks=20), 1_000_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_stats_match_with_superblocks_off(name):
+    workload, max_cycles = WORKLOADS[name]
+    on = _workload_stats(workload(), True, max_cycles)
+    off = _workload_stats(workload(), False, max_cycles)
+    assert on == off
 
 
 # -- S4: invalidation edges -------------------------------------------------

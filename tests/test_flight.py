@@ -13,7 +13,7 @@ from repro.__main__ import EXPERIMENTS, SUBCOMMANDS
 from repro.__main__ import main as repro_main
 from repro.__main__ import usage
 from repro.experiments import harness
-from repro.experiments.bench import _linux_boot
+from repro.workloads import linux_boot_slice
 from repro.experiments.harness import build_fast_simulator
 from repro.observability import EventTracer, FastScope
 from repro.observability.flight import (
@@ -43,7 +43,7 @@ MAX_CYCLES = 2_000_000
 
 def scoped_boot(sleep_ticks=10, profile=False):
     sim = build_fast_simulator(
-        _linux_boot(sleep_ticks=sleep_ticks),
+        linux_boot_slice(sleep_ticks=sleep_ticks),
         timing_config=TimingConfig(engine="compiled"),
     )
     scope = FastScope(sim, window_cycles=4096, profile=profile)

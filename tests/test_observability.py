@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.bench import _linux_boot
+from repro.workloads import linux_boot_slice
 from repro.experiments.harness import build_fast_simulator
 from repro.fast import FastSimulator
 from repro.kernel import UserProgram
@@ -49,7 +49,7 @@ spin:
 def boot_sim(engine="compiled"):
     """The fixed-seed boot slice (sleeps, so idle fast-forward runs)."""
     return build_fast_simulator(
-        _linux_boot(sleep_ticks=10),
+        linux_boot_slice(sleep_ticks=10),
         timing_config=TimingConfig(engine=engine),
     )
 

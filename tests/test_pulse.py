@@ -112,7 +112,7 @@ def test_idle_hint_preserves_fast_forward():
     # due samples; a plain hintless listener is called on every
     # executed cycle.  linux-boot idles through most of its cycles, so
     # the hinted emitter must see far fewer calls.
-    from repro.experiments.bench import _linux_boot
+    from repro.workloads import linux_boot_slice
 
     calls = {"hinted": 0, "hintless": 0}
 
@@ -126,7 +126,7 @@ def test_idle_hint_preserves_fast_forward():
 
     def boot():
         return build_fast_simulator(
-            _linux_boot(sleep_ticks=20),
+            linux_boot_slice(sleep_ticks=20),
             timing_config=TimingConfig(engine="compiled"),
         )
 

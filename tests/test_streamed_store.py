@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from repro.experiments.bench import _linux_boot
+from repro.workloads import linux_boot_slice
 from repro.fast.simulator import FastSimulator
 from repro.observability import EventTracer, FastScope
 from repro.observability.events import JSONL_CHUNK_RECORDS
@@ -43,7 +43,7 @@ def _armed_run(inputs, pulse_path):
     if inputs == "mcf":
         workload = build("181.mcf", scale=1)
     else:
-        workload = _linux_boot(sleep_ticks=20)
+        workload = linux_boot_slice(sleep_ticks=20)
     sim = FastSimulator.from_programs(
         workload.programs, kernel_config=workload.kernel_config)
     scope = FastScope(sim, pulse_path=pulse_path)
