@@ -26,15 +26,32 @@ Five passes, one diagnostic model:
 The extracted :class:`~repro.analysis.graph.TimingGraph` is also the
 substrate of the compiled tick engine's static schedule
 (:mod:`repro.timing.schedule`).
+
+The package resolves its exports on first use (PEP 562), so importing
+one submodule -- the compiled engine imports only
+:mod:`repro.analysis.graph` -- loads no lint pass.
 """
 
-from repro.analysis.determinism import lint_determinism, lint_source
-from repro.analysis.diagnostics import Diagnostic, Report, Severity
-from repro.analysis.graph import Edge, TimingGraph, extract_graph
-from repro.analysis.microcode_rules import lint_microcode
-from repro.analysis.stat_rules import lint_stat_registry
-from repro.analysis.suppress import SuppressionTracker
-from repro.analysis.timing_rules import lint_timing_graph
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
+# Export -> the submodule that defines it.
+_EXPORTS = {
+    "Diagnostic": "diagnostics",
+    "Edge": "graph",
+    "Report": "diagnostics",
+    "Severity": "diagnostics",
+    "SuppressionTracker": "suppress",
+    "TimingGraph": "graph",
+    "extract_graph": "graph",
+    "lint_determinism": "determinism",
+    "lint_microcode": "microcode_rules",
+    "lint_source": "determinism",
+    "lint_stat_registry": "stat_rules",
+    "lint_timing_graph": "timing_rules",
+}
 
 __all__ = [
     "Diagnostic",
@@ -50,3 +67,22 @@ __all__ = [
     "lint_stat_registry",
     "lint_timing_graph",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(__name__ + "." + module), name)
+    globals()[name] = value
+    return value
+
+
+if TYPE_CHECKING:
+    from repro.analysis.determinism import lint_determinism, lint_source
+    from repro.analysis.diagnostics import Diagnostic, Report, Severity
+    from repro.analysis.graph import Edge, TimingGraph, extract_graph
+    from repro.analysis.microcode_rules import lint_microcode
+    from repro.analysis.stat_rules import lint_stat_registry
+    from repro.analysis.suppress import SuppressionTracker
+    from repro.analysis.timing_rules import lint_timing_graph

@@ -1,4 +1,4 @@
-"""A small two-pass assembler for FastISA.
+"""A small one-pass assembler for FastISA.
 
 Supports labels, numeric and symbolic operands, and data directives.
 It exists so FastOS and the synthetic workloads can be written as
@@ -26,17 +26,27 @@ Syntax overview::
         .ascii "hi"
         .space 16
         .align 4
+
+Each line is parsed once and its bytes are appended to the image at
+once.  Only what names a label -- an instruction immediate or a
+``.word`` entry -- and a branch whose numeric target is out of rel16
+range wait for the fixup pass at the end, so errors surface in the
+same order as a classic two-pass assembler's: every parse error first,
+in line order, then every resolution error, in line order.  Every
+source the simulator assembles is pinned byte-for-byte by
+``tests/test_assembler_golden.py``.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NoReturn, Optional, Tuple, Union
 
 from repro.isa import registers
-from repro.isa.encoding import encode, make
-from repro.isa.opcodes import OPCODES, lookup
+from repro.isa.encoding import encode_fields
+from repro.isa.opcodes import OPCODES, OpSpec
 
 
 class AssemblerError(ValueError):
@@ -44,27 +54,21 @@ class AssemblerError(ValueError):
 
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.$]*$")
+_LINE_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.$]*):\s*(.*)$")
 _MEM_RE = re.compile(r"^\[([A-Za-z0-9_]+)\s*(?:([+-])\s*([^\]]+))?\]$")
+# No integer literal starts with one of these, and every label does.
+_LABEL_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
+_GPRS = {name: i for i, name in enumerate(registers.GPR_NAMES)}
+_GPRS.update(SP=registers.SP, FP=registers.FP)
+_FPRS = {name: i for i, name in enumerate(registers.FPR_NAMES)}
+_SRS = {name: i for i, name in enumerate(registers.SR_NAMES)}
 
-@dataclass
-class _PendingInstr:
-    """An instruction parsed in pass one, awaiting label resolution."""
-
-    addr: int
-    name: str
-    dst: int
-    src: int
-    imm: Union[int, str]  # str means unresolved label
-    rep: bool
-    imm_is_rel: bool  # PC-relative (rel16) vs absolute immediate
-    line_no: int
-
-
-@dataclass
-class _DataItem:
-    addr: int
-    data: bytes
+# (addr, spec, dst, src, imm, rep, imm_is_rel, line_no): an instruction
+# whose immediate awaits resolution, or a .word entry when spec is None.
+_Fixup = Tuple[int, Optional[OpSpec], int, int, Union[int, str], bool,
+               bool, int]
 
 
 @dataclass
@@ -86,42 +90,60 @@ class AssembledProgram:
         return self.symbols[name]
 
 
+def _encode(addr: int, spec: OpSpec, dst: int, src: int, imm: int,
+            rep: bool, imm_is_rel: bool) -> Optional[bytes]:
+    """One instruction's bytes at *addr*, or None when its rel16
+    displacement is out of range."""
+    if imm_is_rel:
+        imm -= addr + spec.length + rep
+        if not -0x8000 <= imm < 0x8000:
+            return None
+    return encode_fields(spec, dst, src, imm, rep)
+
+
 class Assembler:
-    """Two-pass assembler.  Use :func:`assemble` for the common case."""
+    """One-pass assembler.  Use :func:`assemble` for the common case."""
 
     def __init__(self, base: int = 0):
         self.base = base
         self._pc = base
         self._symbols: Dict[str, int] = {}
-        self._instrs: List[_PendingInstr] = []
-        self._data: List[_DataItem] = []
+        self._image = bytearray()  # the bytes from base to _pc
+        self._fixups: List[_Fixup] = []
+        self._count = 0
         self._line_no = 0
-
-    # -- pass one -----------------------------------------------------
 
     def run(self, source: str) -> AssembledProgram:
         for self._line_no, raw in enumerate(source.splitlines(), start=1):
             line = raw.split(";", 1)[0].strip()
             if not line:
                 continue
-            self._line(line)
+            if ":" in line:
+                line = self._labels(line)
+                if not line:
+                    continue
+            if line[0] == ".":
+                self._directive(line)
+            else:
+                self._instruction(line)
         return self._finish()
 
-    def _line(self, line: str) -> None:
+    def _labels(self, line: str) -> str:
+        """Define the labels *line* starts with; return the rest."""
         while True:
-            match = re.match(r"^([A-Za-z_][A-Za-z0-9_.$]*):\s*(.*)$", line)
+            match = _LINE_LABEL_RE.match(line)
             if not match:
-                break
+                return line
             label, line = match.group(1), match.group(2).strip()
             if label in self._symbols:
                 self._err("duplicate label %r" % label)
             self._symbols[label] = self._pc
             if not line:
-                return
-        if line.startswith("."):
-            self._directive(line)
-        else:
-            self._instruction(line)
+                return line
+
+    def _emit(self, blob: bytes) -> None:
+        self._image += blob
+        self._pc += len(blob)
 
     def _directive(self, line: str) -> None:
         parts = line.split(None, 1)
@@ -131,50 +153,48 @@ class Assembler:
             target = self._int(arg)
             if target < self._pc:
                 self._err(".org cannot move backwards")
-            self._pc = target
+            self._emit(bytes(target - self._pc))
         elif name == ".word":
-            values = [self._int_or_label(v.strip()) for v in arg.split(",")]
-            blob = bytearray()
-            unresolved = []
-            for i, value in enumerate(values):
-                if isinstance(value, str):
-                    unresolved.append((i, value))
-                    blob += b"\x00\x00\x00\x00"
-                else:
-                    blob += (value & 0xFFFFFFFF).to_bytes(4, "little")
-            item = _DataItem(self._pc, bytes(blob))
-            self._data.append(item)
-            for i, label in unresolved:
-                self._instrs.append(
-                    _PendingInstr(
-                        self._pc + 4 * i, ".wordfix", 0, 0, label, False, False, self._line_no
-                    )
-                )
-            self._pc += len(blob)
+            words = self._numbers(arg, 0xFFFFFFFF)
+            if words is None:
+                words = []
+                for text in arg.split(","):
+                    value = self._int_or_label(text.strip())
+                    if isinstance(value, str):
+                        self._fixups.append((self._pc + 4 * len(words), None, 0, 0,
+                                             value, False, False, self._line_no))
+                        value = 0
+                    words.append(value & 0xFFFFFFFF)
+            self._emit(struct.pack("<%dI" % len(words), *words))
         elif name == ".byte":
-            values = [self._int(v.strip()) & 0xFF for v in arg.split(",")]
-            self._data.append(_DataItem(self._pc, bytes(values)))
-            self._pc += len(values)
+            values = self._numbers(arg, 0xFF)
+            if values is None:
+                values = [self._int(v.strip()) & 0xFF for v in arg.split(",")]
+            self._emit(bytes(values))
         elif name == ".ascii":
             text = arg.strip()
             if len(text) < 2 or text[0] != '"' or text[-1] != '"':
                 self._err(".ascii needs a double-quoted string")
-            blob = text[1:-1].encode("latin-1").decode("unicode_escape").encode("latin-1")
-            self._data.append(_DataItem(self._pc, blob))
-            self._pc += len(blob)
+            self._emit(text[1:-1].encode("latin-1").decode("unicode_escape")
+                       .encode("latin-1"))
         elif name == ".space":
-            count = self._int(arg)
-            self._data.append(_DataItem(self._pc, bytes(count)))
-            self._pc += count
+            self._emit(bytes(self._int(arg)))
         elif name == ".align":
             align = self._int(arg)
             rem = self._pc % align
             if rem:
-                pad = align - rem
-                self._data.append(_DataItem(self._pc, bytes(pad)))
-                self._pc += pad
+                self._emit(bytes(align - rem))
         else:
             self._err("unknown directive %r" % name)
+
+    @staticmethod
+    def _numbers(arg: str, mask: int) -> Optional[List[int]]:
+        """The comma-separated integers of *arg*, masked, or None if any
+        entry is not an integer."""
+        try:
+            return [int(v, 0) & mask for v in arg.split(",")]
+        except ValueError:
+            return None
 
     def _instruction(self, line: str) -> None:
         rep = False
@@ -186,18 +206,31 @@ class Assembler:
                 self._err("REP prefix needs an instruction")
             parts = parts[1].split(None, 1)
             mnemonic = parts[0].upper()
-        if mnemonic not in OPCODES:
+        spec = OPCODES.get(mnemonic)
+        if spec is None:
             self._err("unknown mnemonic %r" % mnemonic)
-        spec = lookup(mnemonic)
         operands = self._split_operands(parts[1]) if len(parts) > 1 else []
         dst, src, imm, imm_is_rel = self._operands(spec, operands)
-        self._instrs.append(
-            _PendingInstr(self._pc, mnemonic, dst, src, imm, rep, imm_is_rel, self._line_no)
-        )
-        self._pc += spec.length + (1 if rep else 0)
+        pc = self._pc
+        blob = None
+        if not isinstance(imm, str):
+            blob = _encode(pc, spec, dst, src, imm, rep, imm_is_rel)
+        if blob is None:
+            self._fixups.append(
+                (pc, spec, dst, src, imm, rep, imm_is_rel, self._line_no))
+            blob = bytes(spec.length + rep)
+        self._emit(blob)
+        self._count += 1
 
     @staticmethod
     def _split_operands(text: str) -> List[str]:
+        # A stray "]" stops the bracket walk below from splitting, so
+        # only text with neither bracket takes the plain split.
+        if "[" not in text and "]" not in text:
+            out = list(map(str.strip, text.split(",")))
+            if not out[-1]:
+                out.pop()
+            return out
         # Split on commas not inside brackets.
         out, depth, cur = [], 0, []
         for ch in text:
@@ -220,79 +253,74 @@ class Assembler:
         dst = src = 0
         imm: Union[int, str] = 0
         imm_is_rel = False
-        try:
-            if fmt == "none":
-                self._want(ops, 0)
-            elif fmt == "r":
-                if name == "MOVSR":  # MOVSR SRNAME, Rs
-                    self._want(ops, 2)
-                    dst = registers.sr_index(ops[0])
-                    src = self._reg(ops[1])
-                elif name == "MOVRS":  # MOVRS Rd, SRNAME
-                    self._want(ops, 2)
-                    dst = self._reg(ops[0])
-                    src = registers.sr_index(ops[1])
-                elif name in ("JR", "CALLR"):
-                    self._want(ops, 1)
-                    dst = self._reg(ops[0])
-                elif name in ("NOT", "NEG", "INC", "DEC", "PUSH", "POP"):
-                    self._want(ops, 1)
-                    dst = self._reg(ops[0])
-                elif spec.iclass == "fp":
-                    self._want(ops, 2)
-                    dst = self._anyreg(ops[0])
-                    src = self._anyreg(ops[1])
-                else:
-                    self._want(ops, 2)
-                    dst = self._reg(ops[0])
-                    src = self._reg(ops[1])
-            elif fmt in ("ri8", "ri32"):
+        if fmt == "none":
+            self._want(ops, 0)
+        elif fmt == "r":
+            if name == "MOVSR":  # MOVSR SRNAME, Rs
+                self._want(ops, 2)
+                dst = self._sreg(ops[0])
+                src = self._reg(ops[1])
+            elif name == "MOVRS":  # MOVRS Rd, SRNAME
+                self._want(ops, 2)
+                dst = self._reg(ops[0])
+                src = self._sreg(ops[1])
+            elif name in ("JR", "CALLR"):
+                self._want(ops, 1)
+                dst = self._reg(ops[0])
+            elif name in ("NOT", "NEG", "INC", "DEC", "PUSH", "POP"):
+                self._want(ops, 1)
+                dst = self._reg(ops[0])
+            elif spec.iclass == "fp":
+                self._want(ops, 2)
+                dst = self._anyreg(ops[0])
+                src = self._anyreg(ops[1])
+            else:
+                self._want(ops, 2)
+                dst = self._reg(ops[0])
+                src = self._reg(ops[1])
+        elif fmt in ("ri8", "ri32"):
+            self._want(ops, 2)
+            dst = self._reg(ops[0])
+            imm = self._int_or_label(ops[1])
+        elif fmt == "i8":
+            self._want(ops, 1)
+            imm = self._int(ops[0])
+        elif fmt == "m":
+            if name == "LOOP":  # LOOP Rc, label
                 self._want(ops, 2)
                 dst = self._reg(ops[0])
                 imm = self._int_or_label(ops[1])
-            elif fmt == "i8":
-                self._want(ops, 1)
-                imm = self._int(ops[0])
-            elif fmt == "m":
-                if name == "LOOP":  # LOOP Rc, label
-                    self._want(ops, 2)
-                    dst = self._reg(ops[0])
-                    imm = self._int_or_label(ops[1])
-                    imm_is_rel = True
-                elif name in ("ST", "STB", "FST"):  # ST [Rb+d], Rs
-                    self._want(ops, 2)
-                    src, disp = self._mem(ops[0])
-                    dst = self._anyreg(ops[1])
-                    imm = disp
-                else:  # LD Rd, [Rb+d]
-                    self._want(ops, 2)
-                    dst = self._anyreg(ops[0])
-                    src, imm = self._mem(ops[1])
-            elif fmt == "rel16":
-                self._want(ops, 1)
-                imm = self._int_or_label(ops[0])
                 imm_is_rel = True
-            elif fmt == "port":
-                if name == "OUT":  # OUT port, Rs
-                    self._want(ops, 2)
-                    imm = self._int(ops[0])
-                    dst = self._reg(ops[1])
-                else:  # IN Rd, port
-                    self._want(ops, 2)
-                    dst = self._reg(ops[0])
-                    imm = self._int(ops[1])
-        except AssemblerError:
-            raise
-        except ValueError as exc:
-            self._err(str(exc))
+            elif name in ("ST", "STB", "FST"):  # ST [Rb+d], Rs
+                self._want(ops, 2)
+                src, disp = self._mem(ops[0])
+                dst = self._anyreg(ops[1])
+                imm = disp
+            else:  # LD Rd, [Rb+d]
+                self._want(ops, 2)
+                dst = self._anyreg(ops[0])
+                src, imm = self._mem(ops[1])
+        elif fmt == "rel16":
+            self._want(ops, 1)
+            imm = self._int_or_label(ops[0])
+            imm_is_rel = True
+        elif fmt == "port":
+            if name == "OUT":  # OUT port, Rs
+                self._want(ops, 2)
+                imm = self._int(ops[0])
+                dst = self._reg(ops[1])
+            else:  # IN Rd, port
+                self._want(ops, 2)
+                dst = self._reg(ops[0])
+                imm = self._int(ops[1])
         return dst, src, imm, imm_is_rel
 
-    def _mem(self, text: str) -> Tuple[int, Union[int, str]]:
+    def _mem(self, text: str) -> Tuple[int, int]:
         match = _MEM_RE.match(text.strip())
         if not match:
             self._err("bad memory operand %r" % text)
         base = self._reg(match.group(1))
-        disp: Union[int, str] = 0
+        disp = 0
         if match.group(3) is not None:
             disp = self._int(match.group(3))
             if match.group(2) == "-":
@@ -300,80 +328,75 @@ class Assembler:
         return base, disp
 
     def _reg(self, text: str) -> int:
-        return registers.gpr_index(text.strip())
+        name = text.strip().upper()
+        index = _GPRS.get(name)
+        if index is None:
+            self._err("unknown GPR name: %r" % (name,))
+        return index
 
     def _anyreg(self, text: str) -> int:
-        text = text.strip().upper()
-        if text.startswith("F") and text[1:].isdigit():
-            return registers.fpr_index(text)
-        return registers.gpr_index(text)
+        name = text.strip().upper()
+        if name.startswith("F") and name[1:].isdigit():
+            index = _FPRS.get(name)
+            if index is None:
+                self._err("unknown FPR name: %r" % (name,))
+            return index
+        return self._reg(name)
 
-    def _int(self, text) -> int:
-        if isinstance(text, int):
-            return text
+    def _sreg(self, text: str) -> int:
+        name = text.upper()
+        index = _SRS.get(name)
+        if index is None:
+            self._err("unknown special register: %r" % (name,))
+        return index
+
+    def _int(self, text: str) -> int:
         text = text.strip()
         try:
             return int(text, 0)
         except ValueError:
             self._err("expected integer, got %r" % text)
 
-    def _int_or_label(self, text) -> Union[int, str]:
-        if isinstance(text, int):
-            return text
+    def _int_or_label(self, text: str) -> Union[int, str]:
         text = text.strip()
-        try:
-            return int(text, 0)
-        except ValueError:
+        if text[:1] in _LABEL_START:
             if _LABEL_RE.match(text):
                 return text
-            self._err("expected integer or label, got %r" % text)
+        else:
+            try:
+                return int(text, 0)
+            except ValueError:
+                pass
+        self._err("expected integer or label, got %r" % text)
 
     def _want(self, ops: List[str], count: int) -> None:
         if len(ops) != count:
             self._err("expected %d operand(s), got %d" % (count, len(ops)))
 
-    def _err(self, message: str) -> None:
+    def _err(self, message: str) -> NoReturn:
         raise AssemblerError("line %d: %s" % (self._line_no, message))
 
-    # -- pass two -----------------------------------------------------
+    # -- fixups ---------------------------------------------------------
 
     def _finish(self) -> AssembledProgram:
-        size = self._pc - self.base
-        image = bytearray(size)
-        count = 0
-        for item in self._data:
-            off = item.addr - self.base
-            image[off : off + len(item.data)] = item.data
-        for pending in self._instrs:
-            if pending.name == ".wordfix":
-                value = self._resolve(pending.imm, pending.line_no)
-                off = pending.addr - self.base
-                image[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-                continue
-            imm = pending.imm
+        image, base, symbols = self._image, self.base, self._symbols
+        for addr, spec, dst, src, imm, rep, imm_is_rel, line_no in self._fixups:
             if isinstance(imm, str):
-                imm = self._resolve(imm, pending.line_no)
-            instr = make(pending.name, pending.dst, pending.src, 0, pending.rep)
-            if pending.imm_is_rel:
-                imm = imm - (pending.addr + instr.length)
-                if not -0x8000 <= imm < 0x8000:
+                if imm not in symbols:
                     raise AssemblerError(
-                        "line %d: branch displacement %d out of rel16 range"
-                        % (pending.line_no, imm)
-                    )
-            instr = make(pending.name, pending.dst, pending.src, imm, pending.rep)
-            blob = encode(instr)
-            off = pending.addr - self.base
+                        "line %d: undefined label %r" % (line_no, imm))
+                imm = symbols[imm]
+            off = addr - base
+            if spec is None:  # a .word entry
+                image[off : off + 4] = (imm & 0xFFFFFFFF).to_bytes(4, "little")
+                continue
+            blob = _encode(addr, spec, dst, src, imm, rep, imm_is_rel)
+            if blob is None:
+                raise AssemblerError(
+                    "line %d: branch displacement %d out of rel16 range"
+                    % (line_no, imm - (addr + spec.length + rep)))
             image[off : off + len(blob)] = blob
-            count += 1
-        return AssembledProgram(
-            bytes(image), self.base, dict(self._symbols), count
-        )
-
-    def _resolve(self, label: str, line_no: int) -> int:
-        if label not in self._symbols:
-            raise AssemblerError("line %d: undefined label %r" % (line_no, label))
-        return self._symbols[label]
+        return AssembledProgram(bytes(image), base, dict(symbols), self._count)
 
 
 def assemble(source: str, base: int = 0) -> AssembledProgram:

@@ -7,10 +7,11 @@ extraction, so the functional model's interpreter loop stays fast.
 
 from __future__ import annotations
 
+import struct
 from typing import Tuple
 
 from repro.isa.instructions import Instr
-from repro.isa.opcodes import OPCODES_BY_VALUE, REP_PREFIX
+from repro.isa.opcodes import OPCODES_BY_VALUE, REP_PREFIX, OpSpec
 
 
 class EncodingError(ValueError):
@@ -27,43 +28,46 @@ def _sign8(value: int) -> int:
 
 def encode(instr: Instr) -> bytes:
     """Encode *instr* into its binary form."""
-    spec = instr.spec
-    out = bytearray()
-    if instr.rep:
-        out.append(REP_PREFIX)
-    out.append(spec.value)
+    return encode_fields(instr.spec, instr.dst, instr.src, instr.imm, instr.rep)
+
+
+_PACK_RI32 = struct.Struct("<BBI").pack
+_PACK_M = struct.Struct("<BBH").pack
+_PACK_REL16 = struct.Struct("<BH").pack
+
+
+def encode_fields(spec: OpSpec, dst: int, src: int, imm: int,
+                  rep: bool) -> bytes:
+    """The binary form of the instruction with these fields, without
+    building an :class:`Instr` (the assembler's path)."""
     fmt = spec.fmt
     if fmt == "none":
-        pass
+        out = bytes((spec.value,))
     elif fmt == "r":
-        _check_reg(instr.dst)
-        _check_reg(instr.src)
-        out.append((instr.dst << 4) | instr.src)
+        _check_reg(dst)
+        _check_reg(src)
+        out = bytes((spec.value, (dst << 4) | src))
     elif fmt == "ri8":
-        _check_reg(instr.dst)
-        out.append(instr.dst << 4)
-        out.append(instr.imm & 0xFF)
+        _check_reg(dst)
+        out = bytes((spec.value, dst << 4, imm & 0xFF))
     elif fmt == "i8":
-        out.append(instr.imm & 0xFF)
+        out = bytes((spec.value, imm & 0xFF))
     elif fmt == "ri32":
-        _check_reg(instr.dst)
-        _check_reg(instr.src)
-        out.append((instr.dst << 4) | instr.src)
-        out += (instr.imm & 0xFFFFFFFF).to_bytes(4, "little")
+        _check_reg(dst)
+        _check_reg(src)
+        out = _PACK_RI32(spec.value, (dst << 4) | src, imm & 0xFFFFFFFF)
     elif fmt == "m":
-        _check_reg(instr.dst)
-        _check_reg(instr.src)
-        out.append((instr.dst << 4) | instr.src)
-        out += (instr.imm & 0xFFFF).to_bytes(2, "little")
+        _check_reg(dst)
+        _check_reg(src)
+        out = _PACK_M(spec.value, (dst << 4) | src, imm & 0xFFFF)
     elif fmt == "rel16":
-        out += (instr.imm & 0xFFFF).to_bytes(2, "little")
+        out = _PACK_REL16(spec.value, imm & 0xFFFF)
     elif fmt == "port":
-        _check_reg(instr.dst)
-        out.append(instr.dst << 4)
-        out += (instr.imm & 0xFFFF).to_bytes(2, "little")
+        _check_reg(dst)
+        out = _PACK_M(spec.value, dst << 4, imm & 0xFFFF)
     else:  # pragma: no cover - table is static
         raise EncodingError("unknown format %r" % (fmt,))
-    return bytes(out)
+    return bytes((REP_PREFIX,)) + out if rep else out
 
 
 def decode(data, offset: int = 0) -> Tuple[Instr, int]:

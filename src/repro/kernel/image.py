@@ -8,6 +8,7 @@ functional model can load and boot.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -29,6 +30,9 @@ OP_LITERAL = 1
 OP_RUN = 2
 _MIN_RUN = 8
 _MAX_LEN = 0xFFFF
+# A run of _MIN_RUN.._MAX_LEN equal bytes; a longer run continues as the
+# next match.
+_RUN_RE = re.compile(rb"(.)\1{%d,%d}" % (_MIN_RUN - 1, _MAX_LEN - 1), re.DOTALL)
 
 
 def rle_compress(data: bytes) -> bytes:
@@ -41,24 +45,15 @@ def rle_compress(data: bytes) -> bytes:
     bytes (the kernel's zeroed data) compress as runs.
     """
     out = bytearray()
-    i = 0
-    n = len(data)
-    lit_start = i
-    while i < n:
-        value = data[i]
-        run = 1
-        while run < min(_MAX_LEN, n - i) and data[i + run] == value:
-            run += 1
-        if run >= _MIN_RUN:
-            _flush_literal(out, data, lit_start, i)
-            out.append(OP_RUN)
-            out += run.to_bytes(2, "little")
-            out.append(value)
-            i += run
-            lit_start = i
-        else:
-            i += run
-    _flush_literal(out, data, lit_start, i)
+    lit_start = 0
+    for match in _RUN_RE.finditer(data):
+        start, end = match.span()
+        _flush_literal(out, data, lit_start, start)
+        out.append(OP_RUN)
+        out += (end - start).to_bytes(2, "little")
+        out.append(data[start])
+        lit_start = end
+    _flush_literal(out, data, lit_start, len(data))
     out.append(OP_END)
     return bytes(out)
 

@@ -49,6 +49,7 @@ import builtins
 import copy
 import functools
 import inspect
+import linecache
 import types
 import typing
 from typing import Callable, Dict, List, Optional, Tuple
@@ -115,18 +116,47 @@ def bind_stages(module: Module,
 
 
 def _parse(fn) -> ast.FunctionDef:
-    """A fresh AST of *fn*'s definition, at its line numbers in its file."""
-    source, nested = _source(fn)
-    node = ast.parse(source).body[0]
-    return node.body[0] if nested else node  # type: ignore
+    """A fresh AST of *fn*'s definition, at its line numbers in its file.
+
+    The definition's lines are cut from the file's cached lines by
+    indentation, with no tokenize pass.  A cut that ends inside a
+    bracket or a string (a continuation line indented no deeper than
+    the ``def``) does not parse; ``inspect`` then finds the block."""
+    code = fn.__code__
+    first = code.co_firstlineno
+    linecache.checkcache(code.co_filename)
+    lines = linecache.getlines(code.co_filename)
+    head = lines[first - 1]
+    indent = len(head) - len(head.lstrip())
+    end = first
+    while end < len(lines):
+        text = lines[end].lstrip()
+        if text and text[0] != "#" and len(lines[end]) - len(text) <= indent:
+            break
+        end += 1
+    try:
+        return _parse_block(lines[first - 1:end], first)
+    except SyntaxError:
+        return _parse_block(inspect.getsourcelines(fn)[0], first)
+
+
+def _parse_block(lines: List[str], first: int) -> ast.FunctionDef:
+    if lines[0][:1].isspace():  # a method: parse it inside "if 1:"
+        tree = ast.parse("\n" * (first - 2) + "if 1:\n" + "".join(lines))
+        return tree.body[0].body[0]  # type: ignore
+    return ast.parse("\n" * (first - 1) + "".join(lines)).body[0]  # type: ignore
 
 
 @functools.lru_cache(maxsize=None)
-def _source(fn) -> Tuple[str, bool]:
-    lines, first = inspect.getsourcelines(fn)
-    if lines[0][:1].isspace():  # a method: parse it inside "if 1:"
-        return "\n" * (first - 2) + "if 1:\n" + "".join(lines), True
-    return "\n" * (first - 1) + "".join(lines), False
+def _template(fn) -> Tuple[List[str], List[ast.stmt]]:
+    """An inline template's parameters after ``self`` and its body
+    without the docstring, parsed once; :meth:`_StageCompiler.template`
+    instantiates a copy per call site."""
+    definition = _parse(fn)
+    body, first = definition.body, definition.body[0]
+    if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+        body = body[1:]  # docstring
+    return [a.arg for a in definition.args.args][1:], body
 
 
 def _self_chain(node: ast.AST) -> Optional[Chain]:
@@ -140,24 +170,44 @@ def _self_chain(node: ast.AST) -> Optional[Chain]:
     return None
 
 
+_LOCATION = ("lineno", "col_offset", "end_lineno", "end_col_offset")
+
+
+def _location(site: ast.AST) -> Dict[str, int]:
+    return {name: getattr(site, name) for name in _LOCATION}
+
+
 def _chain_ast(chain: Chain, site: ast.AST, root: str = "self") -> ast.expr:
-    node: ast.expr = ast.Name(id=root, ctx=ast.Load())
+    location = _location(site)
+    node: ast.expr = ast.Name(id=root, ctx=ast.Load(), **location)
     for name in chain:
-        node = ast.Attribute(value=node, attr=name, ctx=ast.Load())
-    return _place(node, site)
+        node = ast.Attribute(value=node, attr=name, ctx=ast.Load(),
+                             **location)
+    return node
 
 
 def _place(root, site: ast.AST):
     """Give every node under *root* the source position of *site*."""
-    for node in ast.walk(root):
+    location = _location(site).items()
+    todo = [root]
+    while todo:
+        node = todo.pop()
         if "lineno" in node._attributes:
-            ast.copy_location(node, site)
+            for name, value in location:
+                setattr(node, name, value)
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                todo.append(value)
+            elif isinstance(value, list):
+                todo += [v for v in value if isinstance(v, ast.AST)]
     return root
 
 
-def _declared(cls) -> set:
-    return {path for klass in cls.__mro__
-            for path in vars(klass).get("STABLE_ATTRS", ())}
+@functools.lru_cache(maxsize=None)
+def _declared(cls) -> frozenset:
+    return frozenset(path for klass in cls.__mro__
+                     for path in vars(klass).get("STABLE_ATTRS", ()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,6 +218,10 @@ def _annotations(cls) -> Dict[str, type]:
     except NameError:  # an unresolvable forward reference
         return {}
     return {k: v for k, v in hints.items() if isinstance(v, type)}
+
+
+_LEAVES = (ast.Constant, ast.expr_context, ast.operator, ast.boolop,
+           ast.cmpop, ast.unaryop)
 
 
 class _StageCompiler(ast.NodeTransformer):
@@ -206,6 +260,33 @@ class _StageCompiler(ast.NodeTransformer):
                 break
             done, cls = k, self.class_of(chain[:k])
         return done
+
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        """``NodeTransformer.generic_visit`` without the visits to
+        leaves (constants, contexts, operators) that no rewrite
+        touches."""
+        for name in node._fields:
+            old = getattr(node, name, None)
+            if isinstance(old, list):
+                new: List[ast.AST] = []
+                for value in old:
+                    if isinstance(value, ast.AST) and \
+                            not isinstance(value, _LEAVES):
+                        value = self.visit(value)
+                        if value is None:
+                            continue
+                        if not isinstance(value, ast.AST):
+                            new += value
+                            continue
+                    new.append(value)
+                old[:] = new
+            elif isinstance(old, ast.AST) and not isinstance(old, _LEAVES):
+                value = self.visit(old)
+                if value is None:
+                    delattr(node, name)
+                else:
+                    setattr(node, name, value)
+        return node
 
     # rewrite 1: hoisting ------------------------------------------------
 
@@ -322,27 +403,32 @@ class _StageCompiler(ast.NodeTransformer):
             raise self.error(call, "Connector call %s.%s() matches no "
                              "inline template" % (
                                  ".".join(("self",) + receiver), attr))
-        definition = _parse(template)
-        params = [a.arg for a in definition.args.args][1:]
+        params, body = _template(template)
         if call.keywords or len(call.args) != len(params) or not all(
                 isinstance(a, (ast.Name, ast.Constant)) for a in call.args):
             raise self.error(call, "Connector.%s() arguments must be "
                              "names or constants, by position" % attr)
         bound = dict(zip(params, call.args))
-        body, first = definition.body, definition.body[0]
-        if isinstance(first, ast.Expr) and isinstance(
-                first.value, ast.Constant):
-            body = body[1:]  # docstring
-        for node in (n for stmt in body for n in ast.walk(stmt)):
-            for field, value in ast.iter_fields(node):
-                if isinstance(value, ast.Name):
-                    setattr(node, field, self.substitute(
-                        value, receiver, bound, call))
-                elif isinstance(value, list):
-                    value[:] = [self.substitute(v, receiver, bound, call)
-                                if isinstance(v, ast.Name) else v
-                                for v in value]
-        return [_place(stmt, call) for stmt in body]
+        return [self.instantiate(stmt, receiver, bound, call)
+                for stmt in body]
+
+    def instantiate(self, node, receiver: Chain,
+                    bound: Dict[str, ast.expr], site: ast.AST):
+        """A copy of template node *node* at *site*, its names bound."""
+        if isinstance(node, list):
+            return [self.instantiate(v, receiver, bound, site) for v in node]
+        if not isinstance(node, ast.AST) or isinstance(node, ast.expr_context):
+            return node
+        if isinstance(node, ast.Name):
+            return self.substitute(node, receiver, bound, site)
+        out = node.__class__()
+        for name in node._fields:
+            setattr(out, name, self.instantiate(
+                getattr(node, name, None), receiver, bound, site))
+        if "lineno" in node._attributes:
+            for name, value in _location(site).items():
+                setattr(out, name, value)
+        return out
 
     def substitute(self, name: ast.Name, receiver: Chain,
                    bound: Dict[str, ast.expr], site: ast.AST) -> ast.expr:
@@ -350,9 +436,9 @@ class _StageCompiler(ast.NodeTransformer):
             if name.id == "self":
                 return _chain_ast(receiver, site)
             if name.id in bound:
-                return copy.copy(bound[name.id])
+                return _place(copy.copy(bound[name.id]), site)
             if hasattr(builtins, name.id):
-                return name
+                return ast.Name(id=name.id, ctx=name.ctx, **_location(site))
         raise self.error(site, "inline template names %r" % name.id)
 
     def inline(self, call, receiver: Chain, target) -> List[ast.stmt]:

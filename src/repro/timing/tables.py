@@ -14,7 +14,15 @@ so every timing statistic stays bit-identical.
 
 from __future__ import annotations
 
+import sys
 from array import array
+
+# ``array.index`` takes start/stop only from Python 3.10; before that the
+# tag stores scan a list, whose ``index`` always has.
+if sys.version_info >= (3, 10):
+    _TAG_CELL = array("q", [-1])
+else:
+    _TAG_CELL = [-1]
 
 
 class SaturatingCounterTable:
@@ -82,7 +90,7 @@ class LruTagStore:
             raise ValueError("sets and ways must be >= 1")
         self.sets = sets
         self.ways = ways
-        self._tags = array("q", [-1]) * (sets * ways)
+        self._tags = _TAG_CELL * (sets * ways)
         self._payload = array("q", [0]) * (sets * ways)
         self._count = array("B", [0]) * sets
 

@@ -62,6 +62,37 @@ class TestBasics:
         assert program.symbols["x"] == 0x1000
 
 
+class TestPinnedBehaviour:
+    """Messages and edge cases of the two-pass assembler, kept exactly
+    by the one-pass rewrite."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("MOVI R9, 1", "line 1: unknown GPR name: 'R9'"),
+        ("LD R0, R1", "line 1: bad memory operand 'R1'"),
+        (".byte lbl", "line 1: expected integer, got 'lbl'"),
+        ("MOVI R0, 1 000", "line 1: expected integer or label, got '1 000'"),
+        ("NOP\nFADD F9, F1", "line 2: unknown FPR name: 'F9'"),
+        ("MOVSR PC, R1", "line 1: unknown special register: 'PC'"),
+        (".word 1, x\nFROB", "line 2: unknown mnemonic 'FROB'"),
+        ("JMP 40000\nJMP nowhere",
+         "line 1: branch displacement 39997 out of rel16 range"),
+    ])
+    def test_error_messages(self, source, message):
+        with pytest.raises(AssemblerError) as info:
+            assemble(source)
+        assert str(info.value) == message
+
+    def test_underscore_digits_accepted(self):
+        assert assemble("MOVI R0, 1_000").data.hex() == "1100e8030000"
+
+    def test_trailing_comma_dropped(self):
+        assert assemble("ADD R1,R2,").data == assemble("ADD R1, R2").data
+
+    def test_numeric_branch_target_is_absolute(self):
+        program = assemble("NOP\nJMP 0x1000", base=0x1000)
+        assert _decode_all(program)[1][1].branch_target(0x1001) == 0x1000
+
+
 class TestDirectives:
     def test_word_values(self):
         program = assemble(".word 1, 2, 0xFFFFFFFF")
