@@ -28,12 +28,10 @@ under the three host mappings Table 3 compares against FAST:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.functional.model import FunctionalConfig, FunctionalModel
-from repro.functional.trace import TraceEntry
 from repro.host.platforms import DRC_PLATFORM, Platform
 from repro.kernel.image import UserProgram, build_os_image
 from repro.kernel.sources import KernelConfig
@@ -56,59 +54,53 @@ class LockStepFeed(InstructionFeed, Module):
     """Execute the functional model only when the timing model fetches."""
 
     def __init__(self, fm: FunctionalModel):
+        InstructionFeed.__init__(self)
         Module.__init__(self, "lockstep_feed")
         self.fm = fm
-        self._pending: Deque[TraceEntry] = deque()
         self.stats = LockStepStats()
 
-    def peek(self) -> Optional[TraceEntry]:
-        if not self._pending:
-            if self.fm.state.halted or self.fm.bus.shutdown_requested:
-                # Only idle_tick may advance a halted FM (one device
-                # tick per idle target cycle), matching the trace-buffer
-                # feed exactly; see TraceBufferFeed._can_produce.
-                return None
-            entry = self.fm.execute_next()
-            if entry is None:
-                return None
-            self._pending.append(entry)
+    def refill(self) -> None:
+        if self.fm.state.halted or self.fm.bus.shutdown_requested:
+            # Only idle_tick may advance a halted FM (one device tick
+            # per idle target cycle), matching the trace-buffer feed
+            # exactly; see TraceBufferFeed._can_produce.
+            return
+        entry = self.fm.execute_next()
+        if entry is not None:
+            self.entries.append(entry)
             self.stats.fetch_round_trips += 1
-        return self._pending[0]
-
-    def consume(self) -> TraceEntry:
-        return self._pending.popleft()
 
     def force_wrong_path(self, branch_in_no: int, wrong_pc: int) -> None:
-        self._pending.clear()
+        self.entries.clear()
         replayed = self.fm.set_pc(branch_in_no + 1, wrong_pc)
         self.fm.enter_wrong_path()
         self.stats.mispredict_messages += 1
         self.stats.rollback_replays += replayed
 
     def resolve_wrong_path(self, branch_in_no: int, actual_pc: int) -> None:
-        self._pending.clear()
+        self.entries.clear()
         self.fm.exit_wrong_path()
         replayed = self.fm.set_pc(branch_in_no + 1, actual_pc)
         self.stats.resolve_messages += 1
         self.stats.rollback_replays += replayed
 
     def interrupt_delivery(self, after_in: int, line: int):
-        self._pending.clear()
+        self.entries.clear()
         taken, replayed = self.fm.deliver_interrupt(after_in, line)
         self.stats.rollback_replays += replayed
         return taken, replayed
 
-    def commit(self, in_no: int) -> None:
+    def commit(self, in_no: int, count: int = 1) -> None:
         self.fm.commit(in_no)
 
     def idle_tick(self) -> None:
         entry = self.fm.execute_next()
         self.stats.idle_ticks += 1
         if entry is not None:
-            self._pending.append(entry)
+            self.entries.append(entry)
 
     def idle_horizon(self) -> int:
-        if self._pending:
+        if self.entries:
             return 0
         return self.fm.idle_horizon()
 
@@ -120,7 +112,7 @@ class LockStepFeed(InstructionFeed, Module):
 
     @property
     def finished(self) -> bool:
-        return self.fm.bus.shutdown_requested and not self._pending
+        return self.fm.bus.shutdown_requested and not self.entries
 
 
 @dataclass

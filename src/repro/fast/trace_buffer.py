@@ -25,12 +25,9 @@ HyperTransport latencies to produce the paper's MIPS numbers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
 
 from repro.functional.model import FunctionalModel
-from repro.functional.trace import TraceEntry
 from repro.timing.feed import InstructionFeed
 from repro.timing.module import Module
 
@@ -62,6 +59,7 @@ class TraceBufferFeed(InstructionFeed, Module):
 
     def __init__(self, fm: FunctionalModel, depth: int = 512,
                  lookahead: int = 32):
+        InstructionFeed.__init__(self)
         Module.__init__(self, "trace_buffer")
         if depth < 128:
             raise ValueError(
@@ -74,7 +72,6 @@ class TraceBufferFeed(InstructionFeed, Module):
         # buffer *capacity* (depth) bounds uncommitted entries; the
         # lookahead bounds speculative work thrown away per mispredict.
         self.lookahead = max(8, lookahead)
-        self._buffer: Deque[TraceEntry] = deque()
         self._last_committed = 0
         self.protocol = ProtocolStats()
         # Optional FastScope event tracer (repro.observability.events).
@@ -184,7 +181,7 @@ class TraceBufferFeed(InstructionFeed, Module):
         return float(self.fm.in_count - self._last_committed)
 
     def _buffered_probe(self) -> float:
-        return float(len(self._buffer))
+        return float(len(self.entries))
 
     def _can_produce(self) -> bool:
         # A halted FM is advanced ONLY by idle_tick (one device tick per
@@ -194,7 +191,7 @@ class TraceBufferFeed(InstructionFeed, Module):
         # reference and would break cycle equivalence.
         return not (self.fm.state.halted or self.fm.bus.shutdown_requested)
 
-    def _fill(self) -> None:
+    def refill(self) -> None:
         # On a forced wrong path, produce only a small batch: everything
         # generated there is discarded at resolution, so deep runahead
         # is pure waste (the real FAST likewise only needs enough wrong-
@@ -205,7 +202,7 @@ class TraceBufferFeed(InstructionFeed, Module):
         # runahead high-water mark sees it.
         if self.fm.on_wrong_path:
             self.protocol.entries_streamed += self.fm.execute_into(
-                self._buffer, 8)
+                self.entries, 8)
             return
         # Batched refill: hand the FM a span budget bounded by both the
         # lookahead and the remaining trace-buffer capacity, and let it
@@ -214,7 +211,7 @@ class TraceBufferFeed(InstructionFeed, Module):
         # identical to the old execute_next loop -- the budget is the
         # same fixpoint the per-entry conditions enforced.
         fm = self.fm
-        buffer = self._buffer
+        buffer = self.entries
         while True:
             budget = self.lookahead - len(buffer)
             room = self.depth - (fm.in_count - self._last_committed)
@@ -235,21 +232,11 @@ class TraceBufferFeed(InstructionFeed, Module):
 
     # -- InstructionFeed interface ----------------------------------------------
 
-    def peek(self) -> Optional[TraceEntry]:
-        if not self._buffer:
-            self._fill()
-            if not self._buffer:
-                return None
-        return self._buffer[0]
-
-    def consume(self) -> TraceEntry:
-        return self._buffer.popleft()
-
     def force_wrong_path(self, branch_in_no: int, wrong_pc: int) -> None:
         # Discard the functional-path entries beyond the branch; the
         # paper overwrites them in the TB (Figure 2, T=1+m).
-        while self._buffer and self._buffer[-1].in_no > branch_in_no:
-            self._buffer.pop()
+        while self.entries and self.entries[-1].in_no > branch_in_no:
+            self.entries.pop()
         replayed = self.fm.set_pc(branch_in_no + 1, wrong_pc)
         self.fm.enter_wrong_path()
         self.protocol.mispredict_messages += 1
@@ -262,7 +249,7 @@ class TraceBufferFeed(InstructionFeed, Module):
                              occupancy=self._tb_occupancy())
 
     def resolve_wrong_path(self, branch_in_no: int, actual_pc: int) -> None:
-        self._buffer.clear()  # everything buffered is wrong-path
+        self.entries.clear()  # everything buffered is wrong-path
         self.fm.exit_wrong_path()
         replayed = self.fm.set_pc(branch_in_no + 1, actual_pc)
         self.protocol.resolve_messages += 1
@@ -275,7 +262,7 @@ class TraceBufferFeed(InstructionFeed, Module):
                              occupancy=self._tb_occupancy())
 
     def interrupt_delivery(self, after_in: int, line: int):
-        self._buffer.clear()  # everything beyond the boundary is stale
+        self.entries.clear()  # everything beyond the boundary is stale
         taken, replayed = self.fm.deliver_interrupt(after_in, line)
         self.protocol.interrupt_deliveries += 1
         self.protocol.rollback_replays += replayed
@@ -285,20 +272,20 @@ class TraceBufferFeed(InstructionFeed, Module):
                              taken=taken, replayed=replayed)
         return taken, replayed
 
-    def commit(self, in_no: int) -> None:
+    def commit(self, in_no: int, count: int = 1) -> None:
         self._last_committed = in_no
         self.fm.commit(in_no)
-        self.protocol.commit_messages += 1
+        self.protocol.commit_messages += count
 
     def idle_tick(self) -> None:
         entry = self.fm.execute_next()
         self.protocol.idle_ticks += 1
         if entry is not None:
-            self._buffer.append(entry)
+            self.entries.append(entry)
             self.protocol.entries_streamed += 1
 
     def idle_horizon(self) -> int:
-        if self._buffer:
+        if self.entries:
             return 0
         return self.fm.idle_horizon()
 
@@ -310,4 +297,4 @@ class TraceBufferFeed(InstructionFeed, Module):
 
     @property
     def finished(self) -> bool:
-        return self.fm.bus.shutdown_requested and not self._buffer
+        return self.fm.bus.shutdown_requested and not self.entries

@@ -515,7 +515,7 @@ class FunctionalModel(CPUMixin):
         self.stats.traced += 1
         if self._wrong_path:
             self.stats.wrong_path += 1
-        if instr.spec.is_control or exception:
+        if instr.is_control or exception:
             self.stats.basic_blocks += 1
         self.stats.trace_words += entry.trace_words(self.config.trace_compression)
         if self.config.collect_coverage and not self._wrong_path:

@@ -122,7 +122,7 @@ def _tick_row(sim, prev_stats: Dict[str, float]) -> dict:
         "rs": len(backend.rs),
         "lsq": len(backend.lsq),
         "tb": fm.in_count - sim.feed._last_committed,
-        "buffered": len(sim.feed._buffer),
+        "buffered": len(sim.feed.entries),
         "committed": backend.committed_instructions,
         "checkpoints": len(fm.ckpt),
         "stats": changed,

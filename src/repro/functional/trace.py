@@ -82,7 +82,7 @@ class TraceEntry:
 
     @property
     def is_control(self) -> bool:
-        return self.instr.spec.is_control
+        return self.instr.is_control
 
     @property
     def is_cond_branch(self) -> bool:

@@ -178,9 +178,14 @@ class Assembler:
             self._emit(text[1:-1].encode("latin-1").decode("unicode_escape")
                        .encode("latin-1"))
         elif name == ".space":
-            self._emit(bytes(self._int(arg)))
+            count = self._int(arg)
+            if count < 0:
+                self._err(".space count must not be negative, got %d" % count)
+            self._emit(bytes(count))
         elif name == ".align":
             align = self._int(arg)
+            if align < 1:
+                self._err(".align boundary must be at least 1, got %d" % align)
             rem = self._pc % align
             if rem:
                 self._emit(bytes(align - rem))

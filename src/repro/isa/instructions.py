@@ -19,8 +19,7 @@ format:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.isa.opcodes import OpSpec
 
@@ -35,18 +34,19 @@ class Instr:
     imm: int = 0
     rep: bool = False
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
+    # Derived once at construction from the fields above (see OpSpec):
+    # plain attributes, set in the same order on every Instr so all of
+    # them share one dict layout.  ``length`` is the encoded length in
+    # bytes, including the REP prefix if present.
+    name: str = field(init=False, compare=False, repr=False)
+    length: int = field(init=False, compare=False, repr=False)
+    is_control: bool = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def length(self) -> int:
-        """Encoded length in bytes, including the REP prefix if present."""
-        return self.spec.length + (1 if self.rep else 0)
-
-    @cached_property
-    def is_control(self) -> bool:
-        return self.spec.is_control
+    def __post_init__(self) -> None:
+        spec = self.spec
+        object.__setattr__(self, "name", spec.name)
+        object.__setattr__(self, "length", spec.length + (1 if self.rep else 0))
+        object.__setattr__(self, "is_control", spec.is_control)
 
     def branch_target(self, pc: int) -> int:
         """Target address of a PC-relative control instruction at *pc*."""

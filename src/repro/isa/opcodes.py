@@ -25,8 +25,7 @@ variable-length-CISC decode problem the paper highlights for x86.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 REP_PREFIX = 0xFF
@@ -70,21 +69,23 @@ class OpSpec:
     reads_flags: bool = False
     privileged: bool = False
 
-    # cached_property: specs are frozen and shared, and these two are
-    # on the per-instruction hot path of both models -- after the first
-    # access they are plain instance-dict lookups.
-    @cached_property
-    def length(self) -> int:
-        return FORMAT_LENGTHS[self.fmt]
+    # Derived once at construction.  Both models read these once per
+    # dynamic instruction, so they are plain instance attributes: a name
+    # shadowed by a descriptor on the type (``property`` or
+    # ``cached_property``) is never specialized by CPython's adaptive
+    # interpreter, while a plain attribute of a uniform dict layout is.
+    # Excluded from ``__init__``, equality, hashing and ``repr``.
+    length: int = field(init=False, compare=False, repr=False)
+    is_control: bool = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def is_control(self) -> bool:
-        return self.iclass in (
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "length", FORMAT_LENGTHS[self.fmt])
+        object.__setattr__(self, "is_control", self.iclass in (
             CLASS_BRANCH,
             CLASS_JUMP,
             CLASS_CALL,
             CLASS_RET,
-        )
+        ))
 
 
 def _build_table() -> Dict[str, OpSpec]:

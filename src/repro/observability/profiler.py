@@ -106,6 +106,28 @@ class TickProfiler:
         for path in self.schedule.describe():
             self.module_seconds[path] = 0.0
             self.module_calls[path] = 0
+        # Functional-side brackets: the span fill that streams the
+        # trace, and FastBlock capture/replay inside it, by instance
+        # shadowing.  Fetch hoists the feed's refill when its stage is
+        # bound, so they go in before the stages are re-bound below.
+        feed = getattr(self.tm, "feed", None)
+        fm_targets: List[Tuple[object, str, str]] = []
+        if feed is not None and hasattr(feed, "refill"):
+            fm_targets.append((feed, "refill", "feed.fill"))
+        blocks = getattr(getattr(feed, "fm", None), "blocks", None)
+        if blocks is not None:
+            fm_targets.append((blocks, "_capture", "blocks.capture"))
+            fm_targets.append((blocks, "_replay", "blocks.replay"))
+        for owner, name, label in fm_targets:
+            self.fm_seconds[label] = 0.0
+            self.fm_calls[label] = 0
+            setattr(
+                owner,
+                name,
+                self._wrap_stage(label, getattr(owner, name),
+                                 self.fm_seconds, self.fm_calls),
+            )
+            self._orig_stages.append((owner, name))
         paths = {id(module): path for path, module in self.schedule.unit_order}
         rebound: Dict[str, Callable[[int], None]] = {}
         for owner_attr in STAGE_OWNERS:
@@ -121,28 +143,6 @@ class TickProfiler:
         self._orig_steps = self.schedule.instrument_steps(
             lambda path, step: self._wrap_step(path, rebound.get(path, step))
         )
-        # Functional-side brackets: the span fill that streams the
-        # trace, and FastBlock capture/replay inside it.  All are
-        # called through dynamic self-attribute lookups, so instance
-        # shadowing applies without touching the hot code.
-        feed = getattr(self.tm, "feed", None)
-        fm_targets: List[Tuple[object, str, str]] = []
-        if feed is not None and hasattr(feed, "_fill"):
-            fm_targets.append((feed, "_fill", "feed.fill"))
-        blocks = getattr(getattr(feed, "fm", None), "blocks", None)
-        if blocks is not None:
-            fm_targets.append((blocks, "_capture", "blocks.capture"))
-            fm_targets.append((blocks, "_replay", "blocks.replay"))
-        for owner, name, label in fm_targets:
-            self.fm_seconds[label] = 0.0
-            self.fm_calls[label] = 0
-            setattr(
-                owner,
-                name,
-                self._wrap_stage(label, getattr(owner, name),
-                                 self.fm_seconds, self.fm_calls),
-            )
-            self._orig_stages.append((owner, name))
         self.installed = True
         return self
 

@@ -42,11 +42,11 @@ class BranchPredictor(Module):
     # -- common statistics helpers --------------------------------------
 
     def record_outcome(self, correct: bool) -> None:
-        self.bump("predictions")
-        if correct:
-            self.bump("correct")
-        else:
-            self.bump("mispredictions")
+        # Counters update in place: Module.bump would be a call each.
+        counters = self._counters
+        counters["predictions"] = counters.get("predictions", 0) + 1
+        key = "correct" if correct else "mispredictions"
+        counters[key] = counters.get(key, 0) + 1
 
     @property
     def accuracy(self) -> float:

@@ -31,7 +31,9 @@ class BTB(Module):
         return (pc >> 1) % self.sets
 
     def lookup(self, pc: int) -> Optional[int]:
-        self.bump("lookups")
+        # Counters update in place: Module.bump would be a call each.
+        counters = self._counters
+        counters["lookups"] = counters.get("lookups", 0) + 1
         store = self._table
         index = (pc >> 1) % self.sets
         tags = store._tags
@@ -40,7 +42,7 @@ class BTB(Module):
         try:
             slot = tags.index(pc, base, end)
         except ValueError:
-            self.bump("misses")
+            counters["misses"] = counters.get("misses", 0) + 1
             return None
         payloads = store._payload
         target = payloads[slot]
@@ -51,7 +53,7 @@ class BTB(Module):
             payloads[slot:last] = payloads[slot + 1:end]
             tags[last] = pc
             payloads[last] = target
-        self.bump("hits")
+        counters["hits"] = counters.get("hits", 0) + 1
         return target
 
     def install(self, pc: int, target: int) -> None:

@@ -30,13 +30,11 @@ class SetAssocCache(Module):
         self.ways = ways
         self.line_bytes = line_bytes
         self.num_sets = size_bytes // (ways * line_bytes)
-        self._line_shift = line_bytes.bit_length() - 1
+        # Read by Fetch for its line-crossing test (stable after init).
+        self.line_shift = line_bytes.bit_length() - 1
         # Flat tag array, LRU-first within each set; the payload slot
         # carries the line's dirty bit.
         self._sets = LruTagStore(self.num_sets, ways)
-
-    def line_of(self, paddr: int) -> int:
-        return paddr >> self._line_shift
 
     def access(self, paddr: int, is_write: bool = False) -> bool:
         """Access the line containing *paddr*.  Returns hit/miss and
@@ -44,8 +42,10 @@ class SetAssocCache(Module):
 
         Works on the tag store's parallel arrays directly (BRAM ports
         wired into the stage): one C-level scan plus slice moves, no
-        per-entry Python objects."""
-        line = paddr >> self._line_shift
+        per-entry Python objects.  Counters update in place, as a
+        generated stage's do: ``Module.bump`` would be a call per
+        counter."""
+        line = paddr >> self.line_shift
         index = line % self.num_sets
         tag = line // self.num_sets
         store = self._sets
@@ -55,9 +55,10 @@ class SetAssocCache(Module):
         base = index * ways
         count = store._count[index]
         end = base + count
-        self.bump("accesses")
+        counters = self._counters
+        counters["accesses"] = counters.get("accesses", 0) + 1
         if is_write:
-            self.bump("writes")
+            counters["writes"] = counters.get("writes", 0) + 1
         try:
             slot = tags.index(tag, base, end)
         except ValueError:
@@ -70,9 +71,9 @@ class SetAssocCache(Module):
                 payloads[slot:last] = payloads[slot + 1:end]
                 tags[last] = tag
             payloads[last] = dirty
-            self.bump("hits")
+            counters["hits"] = counters.get("hits", 0) + 1
             return True
-        self.bump("misses")
+        counters["misses"] = counters.get("misses", 0) + 1
         if count >= ways:
             # Evict the LRU entry at the base slot; slot order shifts
             # down and the set stays full.
@@ -80,9 +81,9 @@ class SetAssocCache(Module):
             last = end - 1
             tags[base:last] = tags[base + 1:end]
             payloads[base:last] = payloads[base + 1:end]
-            self.bump("evictions")
+            counters["evictions"] = counters.get("evictions", 0) + 1
             if dirty:
-                self.bump("writebacks")
+                counters["writebacks"] = counters.get("writebacks", 0) + 1
             slot = last
         else:
             slot = end
@@ -93,7 +94,7 @@ class SetAssocCache(Module):
 
     def probe(self, paddr: int) -> bool:
         """Non-allocating, non-LRU-updating lookup."""
-        line = paddr >> self._line_shift
+        line = paddr >> self.line_shift
         return self._sets.find(line % self.num_sets, line // self.num_sets) >= 0
 
     def invalidate_all(self) -> None:

@@ -23,14 +23,16 @@ class ITLBModel(Module):
         self._entries: Dict[int, bool] = {}
 
     def lookup(self, vaddr: int) -> bool:
-        self.bump("lookups")
+        # Counters update in place: Module.bump would be a call each.
+        counters = self._counters
+        counters["lookups"] = counters.get("lookups", 0) + 1
         vpn = vaddr >> PAGE_SHIFT
         if vpn in self._entries:
             del self._entries[vpn]
             self._entries[vpn] = True  # refresh FIFO/LRU position
-            self.bump("hits")
+            counters["hits"] = counters.get("hits", 0) + 1
             return True
-        self.bump("misses")
+        counters["misses"] = counters.get("misses", 0) + 1
         # Allocate: in the target, the refill handler installs it; by
         # the time fetch retries it is present.
         self.install(vpn)

@@ -18,13 +18,20 @@ the cycle-equivalence tests rely on that.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Deque, Optional
 
 from repro.functional.trace import TraceEntry
 
 
 class InstructionFeed:
-    """What the timing model needs from the functional side."""
+    """What the timing model needs from the functional side.
+
+    Entries reach fetch through :attr:`entries`, a deque in fetch order:
+    fetch reads its head in place and pops what it takes, and calls
+    :meth:`refill` when it finds it empty.  :meth:`peek` and
+    :meth:`consume` are the same protocol as two calls.
+    """
 
     # Optional FastScope event tracer (repro.observability.events).  A
     # feed that implements seam events emits through this when it is
@@ -32,13 +39,27 @@ class InstructionFeed:
     # feed stays bit-identical with tracing on or off.
     tracer = None
 
+    def __init__(self) -> None:
+        # One deque for the feed's lifetime: fetch holds it.
+        self.entries: Deque[TraceEntry] = deque()
+
+    def refill(self) -> None:
+        """Append the next fetch-order entries to :attr:`entries`, if
+        any can be produced now (CPU halted / shut down: none).  A feed
+        that never produces entries keeps this no-op."""
+
     def peek(self) -> Optional[TraceEntry]:
         """Next fetch-order entry, or None (CPU halted / shut down)."""
-        raise NotImplementedError
+        entries = self.entries
+        if not entries:
+            self.refill()
+            if not entries:
+                return None
+        return entries[0]
 
     def consume(self) -> TraceEntry:
         """Consume the entry last returned by :meth:`peek`."""
-        raise NotImplementedError
+        return self.entries.popleft()
 
     def force_wrong_path(self, branch_in_no: int, wrong_pc: int) -> None:
         """The fetched branch was mispredicted: produce wrong-path
@@ -49,9 +70,9 @@ class InstructionFeed:
         """The branch resolved: resume the correct path at *actual_pc*."""
         raise NotImplementedError
 
-    def commit(self, in_no: int) -> None:
-        """Instruction *in_no* committed: rollback resources may be
-        released."""
+    def commit(self, in_no: int, count: int = 1) -> None:
+        """Instructions up to *in_no* committed, *count* of them since
+        the last call: rollback resources may be released."""
         raise NotImplementedError
 
     def interrupt_delivery(self, after_in: int, line: int):
@@ -101,9 +122,6 @@ class NullFeed(InstructionFeed):
     (FastLint's graph extraction, resource estimation) without wiring a
     functional model behind it.
     """
-
-    def peek(self) -> Optional[TraceEntry]:
-        return None
 
     def idle_tick(self) -> None:
         pass

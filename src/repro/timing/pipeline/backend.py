@@ -173,7 +173,11 @@ class Backend(Module):
     def _writeback(self, cycle: int) -> None:
         if not self.in_flight:
             return
-        finishing = [u for u in self.in_flight if u.done_cycle <= cycle]
+        # Plain loops, here and in _issue: a comprehension is a call.
+        finishing = []
+        for uop in self.in_flight:
+            if uop.done_cycle <= cycle:
+                finishing.append(uop)
         if not finishing:
             return
         finishing.sort(key=_BY_SEQ)
@@ -223,8 +227,11 @@ class Backend(Module):
 
     def _commit(self, cycle: int) -> None:
         # Counters bump per event here: the on_instr_commit hook reads
-        # them mid-step.
+        # them mid-step.  The feed hears once per call, with the newest
+        # retired instruction and the count (release is monotone).
         committed = 0
+        retired = 0
+        newest_in = 0
         while self.rob and committed < self.commit_width:
             uop: DynUop = self.rob[0]
             if uop.state != U_DONE or uop.done_cycle >= cycle:
@@ -248,7 +255,7 @@ class Backend(Module):
             entry = di.entry
             self.committed_instructions += 1
             self.bump("instructions")
-            if entry.instr.spec.is_control:
+            if entry.instr.is_control:
                 self.frontend.predictor.update(
                     entry, entry.taken, entry.next_pc
                 )
@@ -258,12 +265,15 @@ class Backend(Module):
                     self.bump("mispredicts")
             if entry.exception:
                 self.bump("exception_redirects")
-            self.feed.commit(entry.in_no)
+            retired += 1
+            newest_in = entry.in_no
             if di.is_barrier:
                 reason = DRAIN_EXCEPTION if entry.exception else DRAIN_SERIALIZE
                 self.frontend.begin_drain(entry.next_pc, reason)
             if self.on_instr_commit is not None:
                 self.on_instr_commit(di, cycle)
+        if retired:
+            self.feed.commit(newest_in, retired)
         if committed:
             self.bump("commit_cycles")
 
@@ -300,7 +310,11 @@ class Backend(Module):
             self.rs.remove(uop)
             issued += 1
         if issued:
-            self.ready = [uop for uop in ready if uop.state == U_WAITING]
+            waiting = []
+            for uop in ready:
+                if uop.state == U_WAITING:
+                    waiting.append(uop)
+            self.ready = waiting
             self.bump("issues", issued)
 
     def _issue_load(self, uop: DynUop) -> int:
@@ -357,7 +371,8 @@ class Backend(Module):
                 break
             self._seq += 1
             is_last = index + 1 == len(template)
-            dyn = DynUop(self._seq, di, uop, is_last=is_last)
+            dyn = DynUop(self._seq, di, uop, is_last,
+                         di.entry.mem_paddr if meta.is_mem else -1)
             for reg in meta.sources:
                 producer = self.reg_producer.get(reg)
                 # A waiting or executing producer wakes this µop at its

@@ -56,7 +56,7 @@ class DynInstr:
 
     @property
     def is_control(self) -> bool:
-        return self.entry.instr.spec.is_control
+        return self.entry.instr.is_control
 
     @property
     def in_no(self) -> int:
@@ -87,7 +87,8 @@ class DynUop:
         "fu",
     )
 
-    def __init__(self, seq: int, instr: DynInstr, uop: Uop, is_last: bool):
+    def __init__(self, seq: int, instr: DynInstr, uop: Uop, is_last: bool,
+                 mem_paddr: int):
         self.seq = seq
         self.instr = instr
         self.uop = uop
@@ -96,7 +97,7 @@ class DynUop:
         self.waiters: List["DynUop"] = []  # consumers; emptied at writeback
         self.done_cycle = -1
         self.is_last = is_last
-        self.mem_paddr = instr.entry.mem_paddr if uop.is_mem else -1
+        self.mem_paddr = mem_paddr  # the entry's, for a memory µop; else -1
         self.fu = None  # (unit_class, index) while issued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

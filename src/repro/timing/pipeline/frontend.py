@@ -61,8 +61,9 @@ class Frontend(Module):
     decode_q: Connector
     STABLE_ATTRS = (
         "fetch_q", "decode_q", "fetch_width", "max_nested_branches",
-        "feed.peek", "feed.consume", "itlb.lookup", "hierarchy.access_instr",
-        "hierarchy.l1i.line_of", "hierarchy.geometry.l1_hit_latency",
+        "feed.entries", "feed.entries.popleft", "feed.refill", "itlb.lookup",
+        "hierarchy.access_instr", "hierarchy.l1i.line_shift",
+        "hierarchy.geometry.l1_hit_latency",
         "backend", "backend.rob", "begin_drain", "_crack", "_predict",
     )
 
@@ -262,11 +263,15 @@ class Frontend(Module):
                 if fetched == 0:
                     self.bump("fetchq_full_cycles")
                 break
-            entry = self.feed.peek()
-            if entry is None:
-                if fetched == 0:
-                    self.idle_this_cycle = True
-                break
+            # The feed's entry deque, read in place (InstructionFeed.peek
+            # and consume spelled out, without their two calls).
+            if not self.feed.entries:
+                self.feed.refill()
+                if not self.feed.entries:
+                    if fetched == 0:
+                        self.idle_this_cycle = True
+                    break
+            entry = self.feed.entries[0]
             expected_pc = self.expected_pc
             if expected_pc is not None and entry.pc != expected_pc:
                 if entry.handler_entry:
@@ -282,7 +287,7 @@ class Frontend(Module):
                     )
                 break
             # I-cache: one line access per group; crossing ends the group.
-            line = self.hierarchy.l1i.line_of(entry.ppc)
+            line = entry.ppc >> self.hierarchy.l1i.line_shift
             if line != self._current_line:
                 if fetched > 0:
                     break
@@ -293,7 +298,8 @@ class Frontend(Module):
                     self.stall_until = cycle + latency
                     self.bump("icache_miss_stalls")
                     break
-            is_control = entry.instr.spec.is_control
+            instr = entry.instr
+            is_control = instr.is_control
             if (
                 is_control
                 and self.branches_outstanding >= self.max_nested_branches
@@ -301,7 +307,7 @@ class Frontend(Module):
                 self.bump("branch_limit_stalls")
                 break
 
-            self.feed.consume()
+            self.feed.entries.popleft()
             di = DynInstr(entry, cycle, wrong_path=entry.wrong_path)
             if is_control:
                 self.branches_outstanding += 1
@@ -312,10 +318,10 @@ class Frontend(Module):
             # until they commit.
             if (
                 entry.exception
-                or entry.instr.name in SERIALIZING
+                or instr.name in SERIALIZING
                 or (
                     not is_control
-                    and entry.next_pc != (entry.pc + entry.instr.length) & MASK32
+                    and entry.next_pc != (entry.pc + instr.length) & MASK32
                 )
             ):
                 di.is_barrier = True

@@ -119,6 +119,19 @@ class TestDirectives:
         program = assemble(r'.ascii "a\n"')
         assert program.data == b"a\n"
 
+    @pytest.mark.parametrize("source, message", [
+        ("NOP\n.align 0", "line 2: .align boundary must be at least 1, got 0"),
+        (".align -4", "line 1: .align boundary must be at least 1, got -4"),
+        ("NOP\n.align -4",
+         "line 2: .align boundary must be at least 1, got -4"),
+        (".space -1", "line 1: .space count must not be negative, got -1"),
+    ])
+    def test_bad_align_and_space_rejected(self, source, message):
+        # Once a bare ZeroDivisionError / ValueError with no line.
+        with pytest.raises(AssemblerError) as info:
+            assemble(source)
+        assert str(info.value) == message
+
     def test_space_zero_filled(self):
         program = assemble(".byte 1\n.space 3\n.byte 2")
         assert program.data == b"\x01\x00\x00\x00\x02"
