@@ -154,8 +154,8 @@ class TestDeadlockDetection:
         class WedgedFeed(InstructionFeed):
             finished = False
 
-            def peek(self):
-                return None  # never idle-eligible: pretend not finished
+            def refill(self):
+                pass  # never produces an entry, and never finishes
 
             def idle_tick(self):
                 pass
@@ -166,8 +166,9 @@ class TestDeadlockDetection:
         tm = TimingModel(
             WedgedFeed(), config=TimingConfig(watchdog_cycles=200)
         )
-        # idle_tick IS called (peek None counts as idle) -> that's
-        # progress.  Suppress it by marking the feed finished halfway.
+        # idle_tick IS called (an empty deque after refill counts as
+        # idle) -> that's progress.  Suppress it by marking the feed
+        # finished halfway.
         feed = tm.feed
         with pytest.raises(DeadlockError):
             for _ in range(100_000):

@@ -17,6 +17,7 @@ the fingerprint streams, the entries the TM consumed and the final
 stats of the three runs must be identical.
 """
 
+import collections
 import dataclasses
 import zlib
 
@@ -92,6 +93,21 @@ def _entry_row(entry):
     return tuple(getattr(entry, name) for name in TraceEntry.__slots__)
 
 
+class _ConsumedDeque(collections.deque):
+    """A feed's entry deque that lists the row of every entry taken off
+    its front: fetch is the only caller of ``popleft``, so these are
+    the entries the TM consumed, in fetch order."""
+
+    def __init__(self, entries, consumed):
+        super().__init__(entries)
+        self.consumed = consumed
+
+    def popleft(self):
+        entry = super().popleft()
+        self.consumed.append(_entry_row(entry))
+        return entry
+
+
 def _observe(monkeypatch, variant):
     """Patch the classes for *variant* and record every rollback's
     fingerprint and every consumed entry into the returned dict."""
@@ -110,15 +126,15 @@ def _observe(monkeypatch, variant):
             (target_in, replayed, _fingerprint(fm, seen["feed"], seen["tm"])))
         return replayed
 
-    consume = TraceBufferFeed.consume
+    init = TraceBufferFeed.__init__
 
-    def observed_consume(feed):
-        entry = consume(feed)
-        seen["entries"].append(_entry_row(entry))
-        return entry
+    def observed_init(feed, *args, **kwargs):
+        # Before the TM binds fetch, which hoists the deque's popleft.
+        init(feed, *args, **kwargs)
+        feed.entries = _ConsumedDeque(feed.entries, seen["entries"])
 
     monkeypatch.setattr(FunctionalModel, "rollback_to", observed_rollback)
-    monkeypatch.setattr(TraceBufferFeed, "consume", observed_consume)
+    monkeypatch.setattr(TraceBufferFeed, "__init__", observed_init)
     monkeypatch.setattr(PhysicalMemory, "written_pages", None, raising=False)
     # Writes the undo log restores stay on pages these already listed.
     for name in ("write8", "write32", "load_blob"):
@@ -192,6 +208,7 @@ def test_fast_path_matches_full_replay(monkeypatch, scenario):
             for variant in VARIANTS}
     fast = runs["fast"]
     assert fast["rollbacks"], "the scenario must roll back"
+    assert fast["entries"], "the TM must consume entries"
     for variant in ("full", "interpreted"):
         other = runs[variant]
         assert len(other["rollbacks"]) == len(fast["rollbacks"])
