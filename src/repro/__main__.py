@@ -6,7 +6,7 @@ Usage::
     python -m repro                 # generated usage listing
     python -m repro table1          # regenerate one experiment
     python -m repro all             # regenerate everything (slow)
-    python -m repro <subcommand>    # lint / bench / stats / trace / report
+    python -m repro <subcommand>    # lint / stats / trace / report
                                     # / debug / fuzz / top / pulse
 
 Experiment runs invoked here emit FastFlight run artifacts under
@@ -41,8 +41,6 @@ EXPERIMENTS = {
 SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "lint": ("FastLint static verification (exit 0 clean / 1 findings)",
              "repro.analysis.cli:main"),
-    "bench": ("hot-path engine benchmark (writes BENCH_hotpath.json)",
-              "repro.experiments.bench:main"),
     "stats": ("FastScope statistics fabric report",
               "repro.observability.cli:stats_main"),
     "trace": ("FM/TM seam event trace (JSONL)",

@@ -293,14 +293,6 @@ def _alu_lines(rng: random.Random, count: int,
     return lines
 
 
-def alu_burst(rng: random.Random, count: int,
-              regs: Tuple[int, ...] = DATA_REGS) -> List[str]:
-    """Public entry for other tools built on the generator (the
-    hot-path bench's seeded busy kernels): a deterministic burst of
-    *count* ALU instructions over *regs*."""
-    return _alu_lines(rng, count, regs)
-
-
 def _atom_alu(rng: random.Random, cfg: GeneratorConfig) -> Atom:
     return Atom("alu", tuple(_alu_lines(rng, rng.randint(1, 4))))
 

@@ -2,10 +2,11 @@
 
 Both commands run a workload under a fully FastScope-instrumented
 simulator.  ``stats`` prints the fabric/trigger/profile report (and can
-write it as BENCH-style JSON); ``trace`` writes the FM/TM seam event
-ring as JSONL.  The default workload is the same fixed-seed Linux boot
-slice the bench uses, so two invocations with the same arguments are
-byte-reproducible -- the acceptance bar for the trace command.
+write it as JSON); ``trace`` writes the FM/TM seam event ring as
+JSONL.  The default workload is the fixed-seed Linux boot slice
+(``repro.workloads.linux_boot_slice``), so two invocations with the
+same arguments are byte-reproducible -- the acceptance bar for the
+trace command.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_workload(name: str, boot_sleep_ticks: int, scale: int = 1):
-    """The fixed-seed Linux boot slice the bench uses, or the suite
-    workload *name* at *scale*."""
+    """The fixed-seed Linux boot slice, or the suite workload *name*
+    at *scale*."""
     if name == DEFAULT_WORKLOAD:
         from repro.workloads import linux_boot_slice
 

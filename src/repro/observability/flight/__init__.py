@@ -16,9 +16,8 @@ that survive the process that produced them:
   engine: seam-cost attribution, per-window IPC/occupancy timelines,
   collapsed-stack flame-graph export from TickProfiler samples;
 * :mod:`repro.observability.flight.regression` -- cross-run diffing
-  with noise bands, baseline gating against committed ``BENCH_*.json``
-  files, and event-stream bisection to the first diverging event when
-  two supposedly deterministic runs disagree;
+  with noise bands and event-stream bisection to the first diverging
+  event when two supposedly deterministic runs disagree;
 * :mod:`repro.observability.flight.capsule` -- time-travel debug
   capsules: content-addressed captures of a re-executed window around
   an invariant violation or watchpoint (FastWatch), with cycle-by-cycle
@@ -53,7 +52,6 @@ from repro.observability.flight.regression import (
     Divergence,
     RegressionReport,
     bisect_divergence,
-    compare_against_bench,
     compare_runs,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "RegressionReport",
     "RunArtifact",
     "bisect_divergence",
-    "compare_against_bench",
     "compare_runs",
     "diff_capsules",
     "emit_artifact",

@@ -1,7 +1,7 @@
 """RunArtifact: the persistent, content-addressed record of one run.
 
-Every run worth analyzing later -- a bench timing, a
-``run_fast_workload`` call, a fig/table experiment -- writes one
+Every run worth analyzing later -- a ``run_fast_workload`` call, a
+fig/table experiment, a FastBench process -- writes one
 directory under ``results/runs/<id>/``::
 
     manifest.json   identity (experiment, workload, config), file hashes,

@@ -7,22 +7,15 @@ Modes::
                                           attribution, timeline, flame)
     report A B                            diff baseline A vs candidate B;
                                           exit 1 on regression
-    report B --against BENCH_x.json       gate one artifact against a
-                                          committed bench baseline
-    report --against BENCH_x.json         gate every artifact whose
-                                          workload the baseline knows
 
-``--warn-only`` downgrades failures to warnings (exit 0), for a gate
-whose noise bands are not yet trusted.  The CI regression gate runs
-without it: target stats must match exactly and only host speed sits
-in the ``--noise`` band.
+Target stats must match exactly; only host speed sits in the
+``--noise`` band.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 from typing import List, Optional
 
 from repro.observability.flight.analytics import (
@@ -41,7 +34,6 @@ from repro.observability.flight.artifact import (
 from repro.observability.flight.capsule import find_capsules
 from repro.observability.flight.regression import (
     DEFAULT_NOISE,
-    compare_against_bench,
     compare_runs,
     render_report,
 )
@@ -213,17 +205,8 @@ def report_main(argv: Optional[List[str]] = None) -> int:
         help="artifact store (default %(default)s)",
     )
     parser.add_argument(
-        "--against", default=None, metavar="BENCH.json",
-        help="gate against a committed bench baseline instead of a "
-        "second artifact",
-    )
-    parser.add_argument(
         "--noise", type=float, default=DEFAULT_NOISE,
         help="host-metric noise band (default %(default)s)",
-    )
-    parser.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI soft-launch mode)",
     )
     parser.add_argument(
         "--list", action="store_true", dest="list_runs",
@@ -231,7 +214,7 @@ def report_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
-        help="also write the regression report(s) as JSON",
+        help="with two RUNs: also write the regression report as JSON",
     )
     parser.add_argument(
         "--flame", default=None, metavar="PATH",
@@ -250,68 +233,23 @@ def report_main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
-    reports = []
-    exit_code = 0
-    if args.against is not None:
-        with open(args.against) as fh:
-            bench = json.load(fh)
-        baseline_name = os.path.basename(args.against)
-        if args.runs:
-            targets = [load_artifact(ref, root=args.root)
-                       for ref in args.runs]
-        else:
-            targets = [
-                load_artifact(run_id, root=args.root)
-                for run_id in list_artifacts(args.root)
-            ]
-            targets = [
-                t for t in targets
-                if t.workload in bench.get("workloads", {})
-            ]
-            if not targets:
-                print(
-                    "no artifacts under %s match baseline workloads in %s"
-                    % (args.root, args.against)
-                )
-                return 0
-        for candidate in targets:
-            report = compare_against_bench(
-                candidate, bench, noise=args.noise,
-                baseline_name=baseline_name,
-            )
-            print(render_report(report, attribution=candidate))
-            print()
-            reports.append(report)
-    elif len(args.runs) == 2:
-        baseline = load_artifact(args.runs[0], root=args.root)
-        candidate = load_artifact(args.runs[1], root=args.root)
-        report = compare_runs(baseline, candidate, noise=args.noise)
-        print(render_report(report, attribution=candidate))
-        _link_divergence_capsules(report, candidate, args.root)
-        reports.append(report)
-    elif len(args.runs) == 1:
+    if len(args.runs) == 1:
         return _analyze_one(
             load_artifact(args.runs[0], root=args.root), args.flame,
             root=args.root,
         )
-    else:
-        print(
-            "error: give one RUN to analyze, two to diff, or --against/"
-            "--list (see --help)"
-        )
+    if len(args.runs) != 2:
+        print("error: give one RUN to analyze, two to diff, or --list "
+              "(see --help)")
         return 2
-
+    baseline = load_artifact(args.runs[0], root=args.root)
+    candidate = load_artifact(args.runs[1], root=args.root)
+    report = compare_runs(baseline, candidate, noise=args.noise)
+    print(render_report(report, attribution=candidate))
+    _link_divergence_capsules(report, candidate, args.root)
     if args.json:
-        body = [r.to_dict() for r in reports]
         with open(args.json, "w") as fh:
-            json.dump(body[0] if len(body) == 1 else body, fh,
-                      indent=2, sort_keys=True)
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print("wrote %s" % args.json)
-    failed = any(r.failed for r in reports)
-    if failed:
-        if args.warn_only:
-            print("WARN: regressions found (exit 0: --warn-only)")
-            return 0
-        exit_code = 1
-    return exit_code
+    return 1 if report.failed else 0

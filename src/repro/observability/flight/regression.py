@@ -13,9 +13,6 @@ Three questions, in escalating severity:
    (binary search over prefix hashes) to the *first* diverging event,
    named with its cycle, originating module and payload diff -- the
    debugging entry point, instead of two multi-megabyte JSONL files.
-
-``compare_against_bench`` applies the same machinery against the
-committed ``BENCH_*.json`` baselines, giving CI a regression gate.
 """
 
 from __future__ import annotations
@@ -373,77 +370,6 @@ def compare_runs(
         report.notes.append(
             "no seam traces on both sides; cannot bisect the divergence"
         )
-    return report
-
-
-# -- BENCH_*.json baseline gating -------------------------------------------
-
-
-def _bench_baseline_row(bench: Dict[str, Any],
-                        workload: Optional[str]) -> Optional[Dict[str, Any]]:
-    workloads = bench.get("workloads", {})
-    if workload is None:
-        return None
-    return workloads.get(workload)
-
-
-def _bench_mode(row: Dict[str, Any], host: Dict[str, Any]) -> Optional[str]:
-    """Which per-mode sub-row of the bench baseline to gate against:
-    the candidate's recorded engine/mode when the row carries it,
-    otherwise the first conventional mode present."""
-    for key in (host.get("mode"), host.get("engine"),
-                "compiled", "bare", "scoped", "legacy"):
-        if key and isinstance(row.get(key), dict):
-            return str(key)
-    return None
-
-
-def compare_against_bench(
-    candidate: RunArtifact,
-    bench: Dict[str, Any],
-    noise: float = DEFAULT_NOISE,
-    baseline_name: str = "BENCH",
-) -> RegressionReport:
-    """Gate one artifact against a committed ``BENCH_*.json`` baseline.
-
-    Target cycles must match exactly (determinism); cycles/sec is gated
-    inside the noise band.  A workload absent from the baseline is a
-    note, not a failure -- new workloads must not break the gate.
-    """
-    report = RegressionReport(
-        baseline_id=baseline_name,
-        candidate_id=candidate.run_id,
-        noise=noise,
-    )
-    row = _bench_baseline_row(bench, candidate.workload)
-    if row is None:
-        report.notes.append(
-            "workload %r not in baseline; nothing to gate"
-            % (candidate.workload,)
-        )
-        return report
-    timing = candidate.timing()
-    if "cycles" in row and timing:
-        base_cycles = int(row["cycles"])
-        cand_cycles = int(timing.get("cycles", -1))
-        if base_cycles != cand_cycles:
-            report.mismatches.append(
-                StatMismatch("timing.cycles", base_cycles, cand_cycles)
-            )
-    mode = _bench_mode(row, candidate.host)
-    if mode is not None and "cycles_per_sec" in candidate.host:
-        base_cps = float(row[mode].get("cycles_per_sec", 0.0))
-        report.metrics.append(
-            _metric_delta(
-                "cycles_per_sec[%s]" % mode,
-                base_cps,
-                float(candidate.host["cycles_per_sec"]),
-                True,
-                noise,
-            )
-        )
-    else:
-        report.notes.append("no comparable cycles/sec; perf gate skipped")
     return report
 
 

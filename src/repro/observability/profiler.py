@@ -30,7 +30,7 @@ two clock reads per step per cycle -- which is why it is opt-in
 
 This file reads the host clock on purpose -- it *measures* the
 simulator rather than simulating -- so the DT002 wall-clock rule is
-suppressed line by line, exactly as in ``experiments/bench.py``.
+suppressed line by line.
 """
 
 from __future__ import annotations

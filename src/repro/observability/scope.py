@@ -63,7 +63,7 @@ class FastScope:
         # The FastWatch invariant fabric is always-on by default: every
         # invariant declares an idle hint, so arming it keeps the
         # compiled engine's idle fast-forward and stays inside the
-        # observability overhead budget the bench gates.
+        # 1.10x observability overhead budget CI gates on FastBench.
         self.monitor: Optional[InvariantMonitor] = None
         if invariants:
             self.monitor = InvariantMonitor(
@@ -71,7 +71,7 @@ class FastScope:
             )
         # The FastPulse live telemetry plane: cadence-hinted like the
         # monitor, so arming it also keeps idle fast-forward (and rides
-        # inside the same overhead budget the bench gates).
+        # inside the same overhead budget).
         self.pulse: Optional[PulseEmitter] = None
         if pulse_path is not None:
             self.pulse = PulseEmitter(
@@ -111,7 +111,7 @@ class FastScope:
             self.pulse.finalize()
 
     def report(self) -> Dict:
-        """BENCH-style JSON for the whole scoped run."""
+        """JSON-ready report for the whole scoped run."""
         self.finalize()
         flat, tree = self.fabric.statnet_reports()
         out: Dict = {

@@ -69,18 +69,23 @@ def _workload_stats(workload, superblocks, max_cycles):
             dataclasses.asdict(result.protocol), result.console_text)
 
 
+# name -> (workload, max_cycles, exact TimingStats fields the run must
+# reach).  The boot slice runs to completion, so its totals are pinned.
 WORKLOADS = {
-    "mcf": (lambda: build("181.mcf", scale=1), 10_000),
-    "boot": (lambda: linux_boot_slice(sleep_ticks=20), 1_000_000),
+    "mcf": (lambda: build("181.mcf", scale=1), 10_000, {}),
+    "boot": (lambda: linux_boot_slice(sleep_ticks=20), 1_000_000,
+             {"cycles": 220_810, "idle_cycles": 198_306,
+              "instructions": 33_777}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_stats_match_with_superblocks_off(name):
-    workload, max_cycles = WORKLOADS[name]
+    workload, max_cycles, pinned = WORKLOADS[name]
     on = _workload_stats(workload(), True, max_cycles)
     off = _workload_stats(workload(), False, max_cycles)
     assert on == off
+    assert {k: on[0][k] for k in pinned} == pinned
 
 
 # -- S4: invalidation edges -------------------------------------------------

@@ -481,7 +481,7 @@ def test_top_attaches_to_inflight_run(tmp_path):
         child.wait(timeout=30)
 
 
-# -- FastScope / bench wiring ------------------------------------------------
+# -- FastScope wiring ------------------------------------------------------
 
 
 def test_fastscope_arms_pulse_when_given_a_path(tmp_path):
