@@ -41,10 +41,12 @@ Replay is *observationally identical* to interpretation:
 Validity.  A superblock is keyed by ``(entry PC, kernel_mode)`` and
 records the physical pages its instruction bytes span.  Instead of a
 global memory-image generation, invalidation is eager: every logged
-physical write probes the (tiny) page index and kills any block whose
-code range it touches, and rollback kills blocks on every page its
-undo log rewrites.  A killed block also sets ``dead`` so an in-flight
-replay of it exits cleanly after the offending store's instruction.
+physical write, and every word rollback's undo log rewrites, probes a
+per-page record of the 4-byte words live blocks' instruction bytes
+cover, and only a covered word pays for the interval scan that kills
+the blocks the write overlaps.  A killed block also sets ``dead`` so
+an in-flight replay of it exits cleanly after the offending store's
+instruction.
 User-mode blocks additionally pin the TLB generation (bumped by TLBWR,
 TLBFLUSH and rollback's TLB restore) since their per-instruction fetch
 translations were resolved at capture time; kernel-mode blocks use
@@ -74,8 +76,9 @@ from repro.functional.cpu import ExecResult, Fault, MASK32
 from repro.functional.trace import TraceEntry
 from repro.isa.causes import CAUSE_INVALID_OPCODE
 from repro.isa.encoding import EncodingError
+from repro.isa.registers import SR_STATUS, STATUS_IE, STATUS_KERNEL
 from repro.system.memory import MemoryError_
-from repro.system.mmu import PAGE_SHIFT, ProtectionFault, TLBMiss
+from repro.system.mmu import PAGE_SHIFT, PAGE_SIZE, ProtectionFault, TLBMiss
 
 # Opcodes that terminate capture *without* being included: they
 # serialize (mode/IE changes, HALT), touch device ports, read host
@@ -116,6 +119,9 @@ BOUNDARY_SPEC_VALUES = _boundary_values()
 _HEAT_LIMIT = 1 << 16
 
 _NO_BOUND = 1 << 40
+
+# One byte per 4-byte physical word in a code page's covered-word record.
+WORDS_PER_PAGE = PAGE_SIZE >> 2
 
 # Sentinel stored in the block table for entry points that failed
 # capture (first instruction excluded/undecodable), so they are not
@@ -179,9 +185,13 @@ class SuperblockCache:
         self._blocks: Dict[Tuple[int, bool], object] = {}
         self._heat: Dict[Tuple[int, bool], int] = {}
         # page -> set of block keys whose code bytes touch that page.
-        # FunctionalModel._invalidate_code probes this dict's key set
-        # on every logged physical write.
         self.page_index: Dict[int, Set[Tuple[int, bool]]] = {}
+        # page -> one byte per 4-byte word of the page, nonzero where
+        # the instruction bytes of a live block on the page cover the
+        # word; the same page set as page_index.  FunctionalModel's
+        # _invalidate_code and _rewind test a written word here and
+        # call invalidate_write only on a covered one.
+        self.code_words: Dict[int, bytearray] = {}
         # Whether the last replay exited at a basic-block boundary (the
         # batched loop resumes cache lookups there) or mid-block (a
         # budget/horizon clip: the interpreter carries on to the next
@@ -192,7 +202,7 @@ class SuperblockCache:
 
     def invalidate_all(self) -> None:
         """Drop every block and reset hotness (fresh memory image).
-        ``page_index`` is cleared in place -- the model aliases it."""
+        ``code_words`` is cleared in place -- the model aliases it."""
         for block in self._blocks.values():
             if isinstance(block, Superblock):
                 block.dead = True
@@ -200,6 +210,20 @@ class SuperblockCache:
         self._blocks.clear()
         self._heat.clear()
         self.page_index.clear()
+        self.code_words.clear()
+
+    def covers(self, paddr: int) -> bool:
+        """Whether a write treated as 4 bytes wide at *paddr* (as
+        :meth:`invalidate_write` treats it) touches a covered word:
+        the word of *paddr* and, when *paddr* is unaligned, the next
+        one, which may lie on the next page.  The model tests the
+        first word in line and calls this only for unaligned writes."""
+        code_words = self.code_words
+        for addr in ((paddr, paddr + 3) if paddr & 3 else (paddr,)):
+            words = code_words.get(addr >> PAGE_SHIFT)
+            if words is not None and words[(addr & (PAGE_SIZE - 1)) >> 2]:
+                return True
+        return False
 
     def invalidate_write(self, paddr: int) -> None:
         """A logged physical write landed at *paddr* (treated as 4
@@ -228,7 +252,9 @@ class SuperblockCache:
                 self._drop(block)
 
     def _drop(self, block: Superblock) -> None:
-        """Remove one stale (version/generation-mismatched) block."""
+        """Remove one stale (version/generation-mismatched) block and
+        rebuild the covered-word record of each page it was on from
+        the blocks still there."""
         self._blocks.pop(block.key, None)
         block.dead = True
         self.stats.invalidations += 1
@@ -238,6 +264,27 @@ class SuperblockCache:
                 index.discard(block.key)
                 if not index:
                     del self.page_index[page]
+                    del self.code_words[page]
+                    continue
+                self.code_words[page] = bytearray(WORDS_PER_PAGE)
+                for key in index:
+                    self._cover(self._blocks[key], page)
+
+    def _cover(self, block: Superblock, page: Optional[int] = None) -> None:
+        """Mark the words *block*'s instruction bytes cover, on every
+        page they span or only on *page*."""
+        code_words = self.code_words
+        for lo, hi in block.intervals:
+            for p in range(lo >> PAGE_SHIFT, ((hi - 1) >> PAGE_SHIFT) + 1):
+                if page is not None and p != page:
+                    continue
+                words = code_words.get(p)
+                if words is None:
+                    words = code_words[p] = bytearray(WORDS_PER_PAGE)
+                base = p << PAGE_SHIFT
+                first = (max(lo, base) - base) >> 2
+                last = (min(hi, base + PAGE_SIZE) - 1 - base) >> 2
+                words[first:last + 1] = b"\x01" * (last + 1 - first)
 
     # -- lookup / capture -------------------------------------------------
 
@@ -249,7 +296,7 @@ class SuperblockCache:
         """
         fm = self.fm
         state = fm.state
-        key = (state.pc, state.kernel_mode)
+        key = (state.pc, state.srs[SR_STATUS] & STATUS_KERNEL != 0)
         block = self._blocks.get(key)
         if block is None:
             heat = self._heat
@@ -274,6 +321,7 @@ class SuperblockCache:
                 if index is None:
                     index = page_index[page] = set()
                 index.add(key)
+            self._cover(block)
         elif block is _UNCAPTURABLE:
             return 0
         elif self._stale(block, key[1]):
@@ -296,7 +344,7 @@ class SuperblockCache:
         instructions executed (0: interpret this one).
         """
         state = self.fm.state
-        kernel = state.kernel_mode
+        kernel = state.srs[SR_STATUS] & STATUS_KERNEL != 0
         block = self._blocks.get((state.pc, kernel))
         if not block or self._stale(block, kernel):
             return 0
@@ -406,7 +454,8 @@ class SuperblockCache:
         wrong_path = fm._wrong_path
         forward = not (replaying or wrong_path)
         # Interrupts are squashed on the wrong path: only DMA bounds it.
-        horizon = self._horizon(state.interrupts_enabled and not wrong_path)
+        horizon = self._horizon(
+            state.srs[SR_STATUS] & STATUS_IE != 0 and not wrong_path)
         cap = budget if budget < horizon else horizon
         if cap <= 0:
             if forward:

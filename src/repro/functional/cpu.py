@@ -94,7 +94,8 @@ class CPUMixin:
 
     def _translate(self, vaddr: int, is_write: bool) -> int:
         vaddr &= MASK32
-        if self.state.kernel_mode:
+        # ArchState.kernel_mode tested in line: a property costs a call.
+        if self.state.srs[SR_STATUS] & STATUS_KERNEL:
             return vaddr
         return self.tlb.translate(vaddr, is_write)
 

@@ -54,6 +54,8 @@ from repro.system.mmu import PAGE_SHIFT, ProtectionFault, SoftwareTLB, TLBMiss
 
 VECTOR_BASE = 0x40  # all exceptions/interrupts enter here
 
+_PAGE_MASK = (1 << PAGE_SHIFT) - 1
+
 NOP_INSTR = Instr(spec=lookup("NOP"))
 
 # "Forever" for idle_horizon(): a halted CPU with interrupts disabled
@@ -210,7 +212,7 @@ class FunctionalModel(CPUMixin):
                 threshold=self.config.superblock_threshold,
                 max_len=self.config.superblock_max_len,
             )
-            self._sb_pages = self.blocks.page_index
+            self._sb_pages = self.blocks.code_words
         else:
             self.blocks = None
             self._sb_pages = {}
@@ -383,7 +385,7 @@ class FunctionalModel(CPUMixin):
         state = self.state
         if self._wrong_path:
             return False  # interrupts are squashed on the wrong path
-        if not state.interrupts_enabled:
+        if not state.srs[SR_STATUS] & STATUS_IE:
             return False
         intctrl = self._intctrl
         if intctrl is None or not intctrl.output:
@@ -496,21 +498,10 @@ class FunctionalModel(CPUMixin):
         handler_entry = self._handler_pending
         self._handler_pending = False
         entry = TraceEntry(
-            in_no=self.in_count,
-            pc=pc,
-            ppc=ppc,
-            instr=instr,
-            next_pc=res.next_pc,
-            iterations=res.iterations,
-            mem_vaddr=res.mem_vaddr,
-            mem_paddr=res.mem_paddr,
-            exception=exception,
-            handler_entry=handler_entry,
-            tlb_vpn=res.tlb_vpn,
-            tlb_pte=res.tlb_pte,
-            io_port=res.io_port,
-            io_value=res.io_value,
-            wrong_path=self._wrong_path,
+            self.in_count, pc, ppc, instr, res.next_pc, res.iterations,
+            res.mem_vaddr, res.mem_paddr, exception, handler_entry,
+            res.tlb_vpn, res.tlb_pte, res.io_port, res.io_value,
+            self._wrong_path,
         )
         self.stats.traced += 1
         if self._wrong_path:
@@ -638,9 +629,14 @@ class FunctionalModel(CPUMixin):
             del self._decode_cache[page - 1]
         # Superblock pages cover each instruction's full byte range, so
         # one probe of the written page suffices (no prev-page case).
-        # The write then kills only blocks whose instruction bytes it
-        # overlaps -- data stores into a code page leave them alone.
-        if page in self._sb_pages:
+        # Only a write to a word live blocks' instruction bytes cover
+        # pays for the interval scan, which kills the blocks it
+        # overlaps -- data stores into a code page cost one lookup.
+        words = self._sb_pages.get(page)
+        if words is not None and (
+            words[(paddr & _PAGE_MASK) >> 2]
+            or (paddr & 3 and self.blocks.covers(paddr))
+        ):
             self.blocks.invalidate_write(paddr)
 
     # ------------------------------------------------------------------
@@ -732,12 +728,17 @@ class FunctionalModel(CPUMixin):
             if sb_pages:
                 # Undoing a write changes memory at exactly that word:
                 # kill only the blocks whose instruction bytes it
-                # overlaps (the overwhelmingly common undo entry is a
-                # data store).
-                invalidate_write = self.blocks.invalidate_write
+                # overlaps.  The overwhelmingly common undo entry is a
+                # data store, which the covered-word record turns away
+                # without a scan.
+                blocks = self.blocks
                 for addr, _ in undo:
-                    if (addr >> PAGE_SHIFT) in sb_pages:
-                        invalidate_write(addr)
+                    words = sb_pages.get(addr >> PAGE_SHIFT)
+                    if words is not None and (
+                        words[(addr & _PAGE_MASK) >> 2]
+                        or (addr & 3 and blocks.covers(addr))
+                    ):
+                        blocks.invalidate_write(addr)
         self.ckpt.truncate_to(ckpt, keep_undo)
         self.ckpt.stats.rollbacks += 1
         self.stats.rollbacks += 1

@@ -38,6 +38,10 @@ class ArchState:
         self.srs[SR_STATUS] = STATUS_KERNEL
 
     # -- mode queries ----------------------------------------------------
+    # For cold callers: the per-instruction readers (cpu._translate,
+    # the superblock keys and replay horizon, _maybe_take_interrupt)
+    # test the srs[SR_STATUS] bits in line, since CPython 3.11 cannot
+    # specialize a property load and every read costs a call.
 
     @property
     def kernel_mode(self) -> bool:

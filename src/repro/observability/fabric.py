@@ -74,6 +74,27 @@ class StatWindow:
         }
 
 
+class WindowSeries(list):
+    """The window series as the JSON encoder streams it: a ``list`` to
+    ``json.JSONEncoder.iterencode`` (which ``flight.artifact``'s
+    ``json_chunks`` drives), which asks a list only for its truth value
+    and its items, so each window's dict is made as the encoder reaches
+    it and none is kept.  The list storage itself is empty: the C
+    one-shot encoder (``json.dumps``, ``JSONEncoder.encode``) reads that
+    storage and would write ``[]``, so this goes only to ``iterencode``.
+    """
+
+    def __init__(self, windows: List[StatWindow]):
+        super().__init__()
+        self._windows = windows
+
+    def __len__(self) -> int:
+        return len(self._windows)
+
+    def __iter__(self):
+        return (window.to_dict() for window in self._windows)
+
+
 class StatsFabric:
     """The runtime statistics fabric over one TimingModel's module tree.
 
@@ -243,9 +264,19 @@ class StatsFabric:
 
     def report(self) -> dict:
         self.finalize()
+        return self._report([w.to_dict() for w in self.windows])
+
+    def streamed_report(self) -> dict:
+        """:meth:`report` with the window series as a
+        :class:`WindowSeries`, for writing ``windows.json`` window by
+        window: the same JSON text, without the whole series in memory."""
+        self.finalize()
+        return self._report(WindowSeries(self.windows))
+
+    def _report(self, windows: list) -> dict:
         return {
             "window_cycles": self.window_cycles,
-            "windows": [w.to_dict() for w in self.windows],
+            "windows": windows,
             "elided_windows": sum(w.elided_windows for w in self.windows),
             "totals": dict(sorted(self.totals().items())),
             "registered_streams": self.registered_streams(),

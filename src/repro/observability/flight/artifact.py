@@ -493,7 +493,7 @@ def emit_artifact(
         files[STATS_NAME] = json_chunks(stats)
     if scope is not None:
         scope.finalize()
-        files[WINDOWS_NAME] = json_chunks(scope.fabric.report())
+        files[WINDOWS_NAME] = json_chunks(scope.fabric.streamed_report())
         files[TRACE_NAME] = scope.tracer.iter_jsonl(footer=True)
         if scope.profiler is not None:
             files[PROFILE_NAME] = json_chunks(scope.profiler.report())

@@ -111,7 +111,9 @@ class InstructionFeed:
 
     @property
     def finished(self) -> bool:
-        """True once the simulated system has shut down."""
+        """True once the simulated system has shut down and every entry
+        has been consumed: never while :attr:`entries` holds one (the
+        compiled engine's run loop reads this only on an empty deque)."""
         raise NotImplementedError
 
 

@@ -255,9 +255,14 @@ class Backend(Module):
             entry = di.entry
             self.committed_instructions += 1
             self.bump("instructions")
-            if entry.instr.is_control:
+            instr = entry.instr
+            if instr.is_control:
+                # TraceEntry.taken in line (a property costs a call).
+                next_pc = entry.next_pc
                 self.frontend.predictor.update(
-                    entry, entry.taken, entry.next_pc
+                    entry,
+                    next_pc != (entry.pc + instr.length) & 0xFFFFFFFF,
+                    next_pc,
                 )
                 self.frontend.predictor.record_outcome(not di.mispredicted)
                 self.bump("branches")

@@ -243,6 +243,10 @@ class CompiledSchedule:
         """
         tm = self._tm
         feed = tm.feed
+        # A feed is never finished while it holds entries
+        # (InstructionFeed.finished), so the property -- a call per
+        # read -- is consulted only once the deque is empty.
+        entries = feed.entries
         frontend = tm.frontend
         backend = tm.backend
         steps = self._steps
@@ -265,7 +269,7 @@ class CompiledSchedule:
                         for listener in listeners:
                             listener(cycle)
                 idle = frontend.idle_this_cycle and not backend.rob
-                if idle and not feed.finished:
+                if idle and (entries or not feed.finished):
                     feed.idle_tick()
                     # Not hoisted into a local: commit listeners (the
                     # statistics sampler) snapshot tm.idle_cycles
@@ -278,7 +282,7 @@ class CompiledSchedule:
                     last_progress = committed
                 if cycle - last_progress > watchdog:
                     tm._raise_deadlock(cycle)
-                if feed.finished:
+                if not entries and feed.finished:
                     if (
                         not backend.rob
                         and len(frontend.fetch_q) == 0

@@ -19,11 +19,13 @@ import repro.timing.pipeline.frontend as frontend_mod
 from repro.baselines.lockstep import LockStepFeed
 from repro.fast.simulator import FastSimulator
 from repro.fast.trace_buffer import TraceBufferFeed
+from repro.functional.blocks import WORDS_PER_PAGE, Superblock
 from repro.functional.model import FunctionalConfig, FunctionalModel
 from repro.isa.encoding import EncodingError, decode, encode, make
 from repro.isa.opcodes import OPCODES_BY_VALUE, REP_PREFIX
 from repro.isa.program import ProgramImage
 from repro.system.bus import build_standard_system
+from repro.system.mmu import PAGE_SHIFT, PAGE_SIZE
 from repro.timing.core import TimingConfig, TimingModel
 from repro.workloads import build, linux_boot_slice
 
@@ -35,7 +37,8 @@ POWER_OFF = """
 
 
 def run_sim(source, superblocks=True, engine="compiled", feed="tb",
-            predictor="perfect", base=0x1000, max_cycles=400_000):
+            predictor="perfect", base=0x1000, max_cycles=400_000,
+            prepare=None):
     memory, bus, *_ = build_standard_system(memory_size=1 << 20)
     fm = FunctionalModel(memory=memory, bus=bus)
     if not superblocks:
@@ -43,6 +46,8 @@ def run_sim(source, superblocks=True, engine="compiled", feed="tb",
         fm.blocks = None
         fm._sb_pages = {}
     fm.load(ProgramImage.from_assembly("t", source, base=base, entry="main"))
+    if prepare is not None:
+        prepare(fm)
     feed_obj = (TraceBufferFeed if feed == "tb" else LockStepFeed)(fm)
     tm = TimingModel(feed_obj, microcode=fm.microcode,
                      config=TimingConfig(engine=engine, predictor=predictor))
@@ -59,33 +64,40 @@ def _workload_stats(workload, superblocks, max_cycles):
         workload.programs, kernel_config=workload.kernel_config,
         functional_config=FunctionalConfig(superblocks=superblocks))
     result = sim.run(max_cycles)
+    blocks = sim.fm.blocks
     functional = dataclasses.asdict(result.functional)
     # Forward replay counts every replayed step as a decode hit, and
     # capture's own fetches count as lookups, so these two differ from
     # interpretation (mcf: 145,605/6,525 on, 145,436/6,582 off).  Every
     # other count must not.
     del functional["decode_hits"], functional["decode_misses"]
-    return (dataclasses.asdict(result.timing), functional,
-            dataclasses.asdict(result.protocol), result.console_text)
+    stats = (dataclasses.asdict(result.timing), functional,
+             dataclasses.asdict(result.protocol), result.console_text)
+    return stats, blocks
 
 
 # name -> (workload, max_cycles, exact TimingStats fields the run must
-# reach).  The boot slice runs to completion, so its totals are pinned.
+# reach, exact SuperblockStats fields of the superblocks-on run).  The
+# boot slice runs to completion, so its totals are pinned.
 WORKLOADS = {
-    "mcf": (lambda: build("181.mcf", scale=1), 10_000, {}),
+    "mcf": (lambda: build("181.mcf", scale=1), 10_000, {}, {}),
     "boot": (lambda: linux_boot_slice(sleep_ticks=20), 1_000_000,
              {"cycles": 220_810, "idle_cycles": 198_306,
-              "instructions": 33_777}),
+              "instructions": 33_777},
+             {"hits": 6_938, "replayed_instructions": 29_462,
+              "misses": 2_832, "captures": 26, "capture_failures": 13,
+              "invalidations": 0}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_stats_match_with_superblocks_off(name):
-    workload, max_cycles, pinned = WORKLOADS[name]
-    on = _workload_stats(workload(), True, max_cycles)
-    off = _workload_stats(workload(), False, max_cycles)
+    workload, max_cycles, pinned, pinned_blocks = WORKLOADS[name]
+    on, blocks = _workload_stats(workload(), True, max_cycles)
+    off, _none = _workload_stats(workload(), False, max_cycles)
     assert on == off
     assert {k: on[0][k] for k in pinned} == pinned
+    assert {k: getattr(blocks.stats, k) for k in pinned_blocks} == pinned_blocks
 
 
 # -- S4: invalidation edges -------------------------------------------------
@@ -123,6 +135,115 @@ def test_self_modifying_store_invalidates_cached_block():
     off, _tm, fm_off = run_sim(SELF_MODIFY, superblocks=False)
     assert fm_off.state.regs[1] == 240
     assert on == off
+
+
+# A hot loop that stores to a data word on its own code page every
+# iteration and, when a data-dependent branch (a bit of an xorshift
+# sequence in R4) falls through, rewrites the ADDI immediate inside the
+# loop.  Under gshare that branch keeps mispredicting, so rollbacks
+# undo both kinds of store -- including, a few times, a code store
+# that a block captured after it covers.  The same program is a
+# fuzz-corpus entry (tests/corpus/), replayed through every oracle cell.
+CODE_AND_DATA_STORES = """
+main:
+    MOVI R1, 0
+    MOVI R4, 0x2545F491
+    MOVI R5, 400
+    MOVI R3, cd_site
+    MOVI R6, cd_data
+cd_loop:
+    ST [R6+0], R1
+    MOV R2, R4
+    SHL R2, 13
+    XOR R4, R2
+    MOV R2, R4
+    SHR R2, 17
+    XOR R4, R2
+    MOV R2, R4
+    SHR R2, 7
+    ANDI R2, 1
+    JNZ cd_site
+    STB [R3+2], R5
+cd_site:
+    ADDI R1, 1
+    DEC R5
+    JNZ cd_loop
+%(exit)s
+cd_data:
+    .word 0
+""" % {"exit": POWER_OFF}
+
+
+class WordRecordCheck:
+    """Wraps an FM's two code-store paths, ``_invalidate_code`` (a
+    logged write) and ``_rewind`` (a rollback's undo log), and checks
+    each against the unfiltered interval scan: the live blocks killed
+    are exactly those in the written page's index whose instruction
+    bytes overlap ``[addr, addr + 4)``."""
+
+    def __init__(self, fm):
+        self.fm = fm
+        # path -> [stores into a code page's data words, into code words]
+        self.seen = {"write": [0, 0], "undo": [0, 0]}
+        invalidate, rewind = fm._invalidate_code, fm._rewind
+
+        def checked_invalidate(paddr):
+            self._check("write", [paddr], invalidate, paddr)
+
+        def checked_rewind(ckpt, keep_undo):
+            addrs = [addr for addr, _ in fm.ckpt.undo_entries_since(ckpt)]
+            self._check("undo", addrs, rewind, ckpt, keep_undo)
+
+        fm._invalidate_code = checked_invalidate
+        fm._rewind = checked_rewind
+
+    def _check(self, path, addrs, call, *args):
+        blocks = self.fm.blocks
+        live = [b for b in blocks._blocks.values() if isinstance(b, Superblock)]
+        doomed = set()
+        for addr in addrs:
+            keys = blocks.page_index.get(addr >> PAGE_SHIFT)
+            if not keys:
+                continue
+            hit = {id(b) for b in live if b.key in keys and any(
+                lo < addr + 4 and addr < hi for lo, hi in b.intervals)}
+            self.seen[path][bool(hit)] += 1
+            doomed |= hit
+        before = blocks.stats.invalidations
+        call(*args)
+        assert {id(b) for b in live if b.dead} == doomed
+        assert blocks.stats.invalidations - before == len(doomed)
+
+
+def recount_code_words(blocks):
+    """The covered-word record rebuilt from scratch from the live blocks."""
+    words = {}
+    for block in blocks._blocks.values():
+        if isinstance(block, Superblock):
+            for lo, hi in block.intervals:
+                for byte in range(lo, hi):
+                    page = words.setdefault(byte >> PAGE_SHIFT,
+                                            bytearray(WORDS_PER_PAGE))
+                    page[(byte & (PAGE_SIZE - 1)) >> 2] = 1
+    return words
+
+
+def test_word_record_filters_data_stores_and_keeps_code_stores():
+    checks = []
+    on, _tm, fm = run_sim(CODE_AND_DATA_STORES, predictor="gshare",
+                          prepare=lambda fm: checks.append(WordRecordCheck(fm)))
+    (check,) = checks
+    off, _tm, fm_off = run_sim(CODE_AND_DATA_STORES, superblocks=False,
+                               predictor="gshare")
+    assert fm.state.regs[1] == fm_off.state.regs[1]
+    assert on == off
+    assert fm.stats.rollbacks > 0 and fm.blocks.stats.hits > 0
+    # Data-word and code-word stores reached both paths, and only the
+    # code-word ones killed blocks (checked store by store above).
+    assert min(check.seen["write"] + check.seen["undo"]) > 0, check.seen
+    assert fm.blocks.stats.invalidations > 0
+    assert fm.blocks.code_words == recount_code_words(fm.blocks)
+    assert set(fm.blocks.code_words) == set(fm.blocks.page_index)
 
 
 # A data-dependent branch gshare keeps mispredicting: the trace-buffer

@@ -86,6 +86,7 @@ def flight_store(tmp_path_factory):
         "a2": a2,
         "perturbed": perturbed,
         "result": result,
+        "scope": scope,
     }
 
 
@@ -174,6 +175,8 @@ class _FabricStub:
     def report(self):
         return {"windows": []}
 
+    streamed_report = report
+
 
 # -- artifact round-trip -----------------------------------------------------
 
@@ -199,6 +202,11 @@ class TestArtifactRoundTrip:
         assert a.has_trace()
         assert a.events(), "boot slice should retain seam events"
         assert a.windows() is not None
+        # Written window by window, it is still the canonical JSON of
+        # the whole report, byte for byte.
+        with open(os.path.join(a.path, "windows.json")) as fh:
+            assert fh.read() == canonical_json(
+                flight_store["scope"].fabric.report())
         assert a.profile() is not None
         summary = a.trace_summary()
         assert summary is not None

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.system.bus import IOBus, PORT_POWER, build_standard_system
 from repro.system.console import PORT_DATA, PORT_STATUS, Console
+from repro.system.devices import Device
 from repro.system.disk import (
     CMD_READ,
     CMD_WRITE,
@@ -522,6 +523,38 @@ class TestBus:
         assert bus.read(PORT_CTRL) == 0  # timer disabled at reset
         bus.write(PORT_DATA, ord("x"))
         assert console.text() == "x"
+
+    def test_tick_visits_only_devices_that_override_it(self, monkeypatch):
+        # Record every call of the base class's no-op tick.
+        base_ticks = []
+        monkeypatch.setattr(Device, "tick",
+                            lambda device, units: base_ticks.append(device))
+
+        class Counting(Console):
+            def __init__(self):
+                super().__init__()
+                self.units = 0
+
+            def ports(self):
+                return (0x70,)
+
+            def tick(self, units):
+                self.units += units
+
+        bus = IOBus()
+        pic, console, counting = InterruptController(), Console(), Counting()
+        for device in (pic, console, counting):
+            bus.attach(device)
+        bus.tick(5)
+        bus.tick(2)
+        assert counting.units == 7
+        assert base_ticks == []
+        # Every device is still listed and its ports still answer.
+        assert bus.devices == [pic, console, counting]
+        bus.write(PORT_DATA, ord("y"))
+        assert console.text() == "y"
+        pic.raise_irq(IRQ_TIMER)
+        assert bus.read(PORT_PENDING) == 1 << IRQ_TIMER
 
     def test_snapshot_restore_covers_shutdown(self):
         mem, bus, *_ = build_standard_system()
